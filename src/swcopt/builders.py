@@ -22,16 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .lp import LPBuilder, LPInstance, SolveResult, Status, get_solver, require_optimal
+from .lp import LPInstance, SolveResult, SolverError, Status, get_solver, require_optimal
 from .model import (
     LE,
     MultistageRobustLP,
     ScenarioPath,
     UncertaintySet,
-    flatten_prefix,
     validate,
 )
 from .sampling import ScenarioPrefixTree, build_prefix_tree
@@ -39,6 +39,8 @@ from .sampling import ScenarioPrefixTree, build_prefix_tree
 DEFAULT_LEAF_CAP = 4096
 
 EXACT_MODES = ("ro", "rws", "rt")
+
+CHUNK_ROWS = 40000  # rows per stacked LP in scenario_costs
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,18 @@ class VariableIndexMap:
 
     gamma: int
     x1: range
-    blocks: dict[tuple[int, int], range]  # (decision stage t, node index) -> columns
+    starts: tuple[np.ndarray, ...]  # starts[t-2][j]: first column of node j's stage-t block
+    widths: tuple[int, ...]  # columns per stage-t block, t = 2..H
 
     def stage_blocks(self, t: int) -> list[range]:
-        return [rng for (s, _), rng in sorted(self.blocks.items()) if s == t]
+        w = self.widths[t - 2]
+        return [range(s, s + w) for s in self.starts[t - 2].tolist()]
+
+    @property
+    def blocks(self) -> dict[tuple[int, int], range]:
+        """(decision stage t, node index) -> columns."""
+        return {(t, j): rng for t in range(2, len(self.starts) + 2)
+                for j, rng in enumerate(self.stage_blocks(t))}
 
 
 def _check_problem(problem: MultistageRobustLP) -> None:
@@ -60,48 +70,87 @@ def _check_problem(problem: MultistageRobustLP) -> None:
         raise ValueError("invalid model: " + "; ".join(errs))
 
 
-def _add_first_stage(b: LPBuilder, problem: MultistageRobustLP, names, obj_c1=False) -> range:
-    cols = []
-    for k in range(problem.dims.n[0]):
-        lo = 0.0 if problem.nonneg[0][k] else -np.inf
-        obj = float(problem.c1[k]) if obj_c1 else 0.0
-        cols.append(b.add_var(lo, np.inf, obj, f"{names[0][k]}"))
-    for i in range(problem.dims.m[0]):
-        row = problem.A[i]
-        nz = np.nonzero(row)[0]
-        b.add_row([cols[j] for j in nz], row[nz], problem.senses1[i], problem.h1[i])
-    return range(cols[0], cols[-1] + 1) if cols else range(0, 0)
+def _flat(prefixes, count: int, width: int) -> np.ndarray:
+    """(count, width) array of paths or prefixes given as tuples of stage tuples."""
+    chain = itertools.chain.from_iterable
+    return np.fromiter(chain(chain(prefixes)), float).reshape(count, width)
 
 
-def _add_stage_rows(
-    b: LPBuilder,
-    problem: MultistageRobustLP,
-    t: int,
-    xi: np.ndarray,
-    prev_cols: range,
-    cols: range,
-) -> None:
-    blk = problem.stage_block(t)
-    T, W, h = blk.T(xi), blk.W(xi), blk.h(xi)
-    for i in range(problem.dims.m[t - 1]):
-        r_cols, r_vals = [], []
-        nzT = np.nonzero(T[i])[0]
-        r_cols += [prev_cols[j] for j in nzT]
-        r_vals += list(T[i][nzT])
-        nzW = np.nonzero(W[i])[0]
-        r_cols += [cols[j] for j in nzW]
-        r_vals += list(W[i][nzW])
-        b.add_row(r_cols, r_vals, blk.senses[i], h[i])
+def _span(starts: np.ndarray, width: int) -> np.ndarray:
+    return (starts[:, None] + np.arange(width)).ravel()
 
 
-def _add_stage_vars(b: LPBuilder, problem: MultistageRobustLP, t: int, tag: str, names,
-                    obj: np.ndarray | None = None) -> range:
-    cols = []
-    for k in range(problem.dims.n[t - 1]):
-        lo = 0.0 if problem.nonneg[t - 1][k] else -np.inf
-        coef = float(obj[k]) if obj is not None else 0.0
-        cols.append(b.add_var(lo, np.inf, coef, f"{names[t - 1][k]}{tag}"))
-    return range(cols[0], cols[-1] + 1)
+class _Assembly:
+    """An LP under vectorised assembly.  Every call fills the rows or the
+    columns of K equally shaped blocks at once (block k starting at row
+    r0[k] or column c0[k]) and records their nonzeros as COO entries."""
+
+    def __init__(self, problem: MultistageRobustLP, nrows: int, ncols: int):
+        self.problem = problem
+        self.coo = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        self.senses = np.empty(nrows, dtype="<U2")
+        self.rhs = np.empty(nrows)
+        self.lower = np.empty(ncols)
+        self.obj = np.zeros(ncols)
+        self.names = np.empty(ncols, dtype=object)
+
+    def entries(self, r0: np.ndarray, c0: np.ndarray, M: np.ndarray) -> None:
+        """Nonzeros of the K stacked blocks M, shape (K, m, n)."""
+        k, i, j = np.nonzero(M)
+        self.coo.append((r0[k] + i, c0[k] + j, M[k, i, j]))
+
+    def rows(self, r0: np.ndarray, senses, rhs: np.ndarray) -> None:
+        idx = _span(r0, len(senses))
+        self.senses[idx] = np.tile(np.asarray(senses, dtype="<U2"), len(r0))
+        self.rhs[idx] = np.broadcast_to(rhs, (len(r0), len(senses))).ravel()
+
+    def columns(self, t: int, c0: np.ndarray, tag: str, obj=0.0) -> None:
+        """Stage-t decision blocks; block k's names get the suffix f"{tag}{k}"
+        (no suffix for an empty tag, which names a single block)."""
+        nt = self.problem.dims.n[t - 1]
+        idx = _span(c0, nt)
+        self.lower[idx] = np.tile(np.where(self.problem.nonneg[t - 1], 0.0, -np.inf), len(c0))
+        self.obj[idx] = np.broadcast_to(obj, (len(c0), nt)).ravel()
+        tags = np.char.add(tag, np.arange(len(c0)).astype(str))[:, None] if tag else ""
+        self.names[idx] = np.char.add(self.problem.default_names()[t - 1], tags).ravel()
+
+    def first_stage(self, r0: np.ndarray, c0: np.ndarray, tag: str, obj=0.0) -> None:
+        p = self.problem
+        self.columns(1, c0, tag, obj)
+        self.entries(r0, c0, np.broadcast_to(p.A, (len(r0),) + p.A.shape))
+        self.rows(r0, p.senses1, p.h1)
+
+    def stage(self, t: int, X: np.ndarray, r0: np.ndarray, c0: np.ndarray,
+              prev: np.ndarray | None, x1: np.ndarray | None = None) -> None:
+        """Rows T x^{t-1} + W x^t (sense) h of stage t at K nodes with
+        uncertainty X (K, D).  With prev None the previous stage is the
+        fixed x1, whose term T x1 moves to the right-hand side."""
+        blk = self.problem.stage_block(t)
+        T, W, h = blk.T.eval_many(X), blk.W.eval_many(X), blk.h.eval_many(X)
+        if prev is None:
+            h = h - T @ x1
+        else:
+            self.entries(r0, prev, T)
+        self.entries(r0, c0, W)
+        self.rows(r0, blk.senses, h)
+
+    def build(self) -> LPInstance:
+        r, c, v = (np.concatenate(parts) for parts in zip(*self.coo))
+        order = np.lexsort((c, r))
+        nrows, ncols = len(self.rhs), len(self.obj)
+        return LPInstance(
+            ncols=ncols,
+            lower=self.lower,
+            upper=np.full(ncols, np.inf),
+            obj=self.obj,
+            indptr=np.concatenate([[0], np.cumsum(np.bincount(r, minlength=nrows))]),
+            indices=c[order],
+            data=v[order],
+            senses=tuple(self.senses.tolist()),
+            rhs=self.rhs,
+            names=tuple(self.names.tolist()),
+            row_names=tuple(map("c{}".format, range(nrows))),
+        )
 
 
 def build_swc(
@@ -110,105 +159,77 @@ def build_swc(
     """Scenario-with-certificates LP over the sampled prefix tree.
 
     Variables: budget gamma, the first-stage block, then one certificate
-    block per tree node in breadth-first order.  Rows shared by several
-    paths through a common prefix are emitted once.
+    block per tree node in breadth-first order.  Rows: the first-stage
+    rows, the stage rows of every node (emitted once however many paths
+    share the node), then one worst-case budget row per distinct path.
     """
     _check_problem(problem)
-    H = problem.H
+    H, n, m = problem.H, problem.dims.n, problem.dims.m
     if tree.n_stages != H - 1:
         raise ValueError(f"tree has {tree.n_stages} stages, problem expects {H - 1}")
-    names = problem.default_names()
-    b = LPBuilder()
-    gamma = b.add_var(-np.inf, np.inf, 1.0, "gamma")
-    x1 = _add_first_stage(b, problem, names)
-
-    blocks: dict[tuple[int, int], range] = {}
-    for level in range(1, H):  # tree level = uncertainty stage; decision stage level+1
-        for j in range(tree.n_nodes(level)):
-            blocks[(level + 1, j)] = _add_stage_vars(b, problem, level + 1, f"_n{level}_{j}", names)
-
+    K = tree.node_counts()
+    col0 = np.cumsum([1 + n[0], *np.multiply(K, n[1:])])  # first column of each level, then ncols
+    row0 = np.cumsum([m[0], *np.multiply(K, m[1:])])      # first row of each level, then budget rows
+    lp = _Assembly(problem, row0[-1] + K[-1], col0[-1])
+    lp.lower[0], lp.obj[0], lp.names[0] = -np.inf, 1.0, "gamma"
+    lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64), "")
+    starts = []
     for level in range(1, H):
-        t = level + 1
-        for j in range(tree.n_nodes(level)):
-            xi = flatten_prefix(tree.node_prefix(level, j))
-            prev = x1 if level == 1 else blocks[(t - 1, tree.parent[level - 1][j])]
-            _add_stage_rows(b, problem, t, xi, prev, blocks[(t, j)])
-
-    # one worst-case budget row per distinct full path (leaf node)
-    for leaf in range(tree.n_nodes(H - 1)):
-        cols = [gamma] + list(x1)
-        vals = [-1.0] + list(problem.c1)
-        node = leaf
-        chain = [node]
-        for level in range(H - 1, 1, -1):
-            node = tree.parent[level - 1][node]
-            chain.append(node)
-        chain.reverse()  # stage-1..stage-(H-1) nodes along this leaf's history
-        prefix = tree.node_prefix(H - 1, leaf)
-        for t in range(2, H + 1):
-            xi = flatten_prefix(prefix[: t - 1])
-            c_t = problem.stage_block(t).c(xi)
-            rng = blocks[(t, chain[t - 2])]
-            nz = np.nonzero(c_t)[0]
-            cols += [rng[k] for k in nz]
-            vals += list(c_t[nz])
-        b.add_row(cols, vals, LE, 0.0)
-    return b.build(), VariableIndexMap(gamma, x1, blocks)
+        t, k = level + 1, np.arange(K[level - 1])
+        X = _flat(tree.nodes[level - 1], K[level - 1], problem.xi_dim_through(t))
+        c0 = col0[level - 1] + n[t - 1] * k
+        # stage-2 rows always read x1 (relaxed groupings carry parent[0] = range(K))
+        prev = np.ones_like(k) if level == 1 else starts[-1][np.asarray(tree.parent[level - 1])]
+        lp.columns(t, c0, f"_n{level}_")
+        lp.stage(t, X, row0[level - 1] + m[t - 1] * k, c0, prev)
+        starts.append(c0)
+    # budget rows -gamma + c1'x1 + sum_t c_t(xi)'x_t <= 0, one per leaf; c1 kept whole, zeros too
+    budget = row0[-1] + np.arange(K[-1])
+    lp.coo.append((np.repeat(budget, 1 + n[0]), np.tile(np.arange(1 + n[0]), K[-1]),
+                   np.tile(np.concatenate([[-1.0], problem.c1]), K[-1])))
+    node = np.arange(K[-1])  # each leaf's node at the current level, walking up to level 1
+    for t in range(H, 1, -1):
+        cost = problem.stage_block(t).c.eval_many(X)  # X holds the leaves' full paths
+        lp.entries(budget, starts[t - 2][node], cost[:, None, :])
+        node = np.asarray(tree.parent[t - 2])[node]
+    lp.rows(budget, (LE,), 0.0)
+    return lp.build(), VariableIndexMap(0, range(1, 1 + n[0]), tuple(starts), n[1:])
 
 
 def build_deterministic(problem: MultistageRobustLP, path: ScenarioPath) -> LPInstance:
     """Fully anticipative single-scenario LP (all stages decided knowing the path)."""
     _check_problem(problem)
-    names = problem.default_names()
-    b = LPBuilder()
-    x1 = _add_first_stage(b, problem, names, obj_c1=True)
-    prev = x1
-    for t in range(2, problem.H + 1):
-        xi = path.flat(t - 1)
-        cols = _add_stage_vars(b, problem, t, "", names, obj=problem.stage_block(t).c(xi))
-        _add_stage_rows(b, problem, t, xi, prev, cols)
-        prev = cols
-    return b.build()
+    return _separable_blocks(problem, [path], None)[0]
 
 
 def _separable_blocks(
     problem: MultistageRobustLP,
-    paths: list[ScenarioPath],
+    paths,
     x1: np.ndarray | None,
-) -> tuple[LPInstance, list[range], list[float]]:
+) -> tuple[LPInstance, np.ndarray, int]:
     """Block-diagonal stack of per-path LPs (independent blocks, summed
     objective).  With x1 fixed the blocks are the recourse problems over
-    stages 2..H; otherwise each block is the full deterministic LP."""
-    names = problem.default_names()
-    b = LPBuilder()
-    block_cols: list[range] = []
-    consts: list[float] = []
-    for i, path in enumerate(paths):
-        start = b.ncols
-        if x1 is None:
-            prev = _add_first_stage(b, problem, names, obj_c1=True)
-            const = 0.0
-        else:
-            prev = None
-            const = float(problem.c1 @ x1)
-        for t in range(2, problem.H + 1):
-            xi = path.flat(t - 1)
-            cols = _add_stage_vars(
-                b, problem, t, f"_s{i}", names, obj=problem.stage_block(t).c(xi)
-            )
-            if t == 2 and x1 is not None:
-                blk = problem.stage_block(2)
-                T, W, h = blk.T(xi), blk.W(xi), blk.h(xi)
-                shift = T @ x1
-                for r in range(problem.dims.m[1]):
-                    nz = np.nonzero(W[r])[0]
-                    b.add_row([cols[j] for j in nz], W[r][nz], blk.senses[r], h[r] - shift[r])
-            else:
-                _add_stage_rows(b, problem, t, xi, prev, cols)
-            prev = cols
-        block_cols.append(range(start, b.ncols))
-        consts.append(const)
-    return b.build(), block_cols, consts
+    stages 2..H; otherwise each block is the full deterministic LP.  Path
+    i's columns are tagged "_s{i}".  Returns the LP, the first column of
+    every block and the block width."""
+    first = 0 if x1 is None else 1  # index of the first decision stage in a block
+    col_off = np.cumsum([0, *problem.dims.n[first:]])
+    row_off = np.cumsum([0, *problem.dims.m[first:]])
+    P = len(paths)
+    X = _flat(map(attrgetter("stages"), paths), P, problem.uncertainty.total_dim)
+    c0, r0 = col_off[-1] * np.arange(P), row_off[-1] * np.arange(P)
+    lp = _Assembly(problem, P * row_off[-1], P * col_off[-1])
+    prev = None
+    if x1 is None:
+        lp.first_stage(r0, c0, "_s", problem.c1)
+        prev = c0
+    for t in range(2, problem.H + 1):
+        s = t - 1 - first
+        ct = c0 + col_off[s]
+        lp.columns(t, ct, "_s", problem.stage_block(t).c.eval_many(X))
+        lp.stage(t, X, r0 + row_off[s], ct, prev, x1)
+        prev = ct
+    return lp.build(), c0, int(col_off[-1])
 
 
 def scenario_costs(
@@ -216,43 +237,41 @@ def scenario_costs(
     paths: list[ScenarioPath],
     solver="highs",
     x1: np.ndarray | None = None,
-    chunk_rows: int = 40000,
 ) -> np.ndarray:
     """Optimal cost of every path's own LP; +inf where infeasible.
 
     With x1 given, the cost is c1'x1 plus the optimal recourse over stages
-    2..H along the path.  Paths are stacked into block-diagonal LPs (the
-    blocks are independent, so per-block optima are read off the stacked
-    solution); an infeasible stack falls back to per-path solves.
+    2..H along the path.  Paths are stacked into block-diagonal LPs of about
+    CHUNK_ROWS rows (the blocks are independent, so per-block optima are
+    read off the stacked solution); a stack that is not solved to
+    optimality falls back to per-path solves.
     """
     solve = get_solver(solver)
+    const = 0.0 if x1 is None else float(problem.c1 @ x1)
     rows_per = sum(problem.dims.m[1:]) + (problem.dims.m[0] if x1 is None else 0)
-    per_chunk = max(1, chunk_rows // max(1, rows_per))
+    per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
     out = np.empty(len(paths))
     for lo in range(0, len(paths), per_chunk):
         batch = paths[lo : lo + per_chunk]
-        lp, block_cols, consts = _separable_blocks(problem, list(batch), x1)
+        lp, starts, width = _separable_blocks(problem, batch, x1)
         res = solve(lp)
         if res.status is Status.OPTIMAL:
-            for k, cols in enumerate(block_cols):
-                sl = slice(cols.start, cols.stop)
-                out[lo + k] = consts[k] + float(lp.obj[sl] @ res.x[sl])
+            for k, s in enumerate(starts.tolist()):
+                out[lo + k] = const + float(lp.obj[s : s + width] @ res.x[s : s + width])
         else:
-            for k, path in enumerate(batch):
-                out[lo + k] = _single_cost(problem, path, solve, x1)
+            out[lo : lo + len(batch)] = [_single_cost(problem, p, solve, x1, const) for p in batch]
     return out
 
 
-def _single_cost(problem, path, solve, x1) -> float:
-    lp, _, consts = _separable_blocks(problem, [path], x1)
-    res = solve(lp)
+def _single_cost(problem, path, solve, x1, const) -> float:
+    res = solve(_separable_blocks(problem, [path], x1)[0])
     if res.status is Status.OPTIMAL:
-        return consts[0] + float(res.objective)
+        return const + float(res.objective)
     if res.status is Status.INFEASIBLE:
         return np.inf
     if res.status is Status.UNBOUNDED:
         return -np.inf
-    raise RuntimeError(f"scenario solve ended with {res.status.value}")
+    raise SolverError(f"scenario solve ended with {res.status.value}")
 
 
 def sws_value(

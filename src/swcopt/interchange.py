@@ -18,6 +18,7 @@ import shlex
 import subprocess
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,9 @@ def write_interchange(lp: LPInstance, destination=None) -> str:
     for nm in names:
         if not _NAME_RE.match(nm):
             raise ValueError(f"variable name {nm!r} outside the documented subset")
+    if len(set(names)) != len(names):
+        dup = next(nm for nm, count in Counter(names).items() if count > 1)
+        raise ValueError(f"duplicate variable name {dup!r}: columns are matched by name")
     out = ["\\ swcopt LP interchange", "Minimize"]
     obj_cols = np.nonzero(lp.obj)[0]
     body = _terms(names, obj_cols, lp.obj[obj_cols])

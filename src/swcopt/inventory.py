@@ -15,6 +15,7 @@ s_co^H carries no bound pair).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -295,7 +296,7 @@ def run_paper_grid(
     """Reference experiment grid over the benchmark.
 
     Accuracy levels whose sample size exceeds max_samples are skipped with
-    a notice (the smallest published levels need roughly 2e4..8e4 samples
+    a logged warning (the smallest published levels need roughly 2e4..8e4 samples
     per instance, beyond a desk run; pass max_samples=None to force them).
     Writes the per-level results/summary CSVs plus references.csv.
     """
@@ -304,7 +305,9 @@ def run_paper_grid(
     for eps in epsilons:
         N = sample_complexity(eps, beta, BENCHMARK_N0)
         if max_samples is not None and N > max_samples:
-            print(f"notice: skipping eps={eps:g} (N={N} > max_samples={max_samples})")
+            logging.getLogger(__name__).warning(
+                "skipping eps=%g (N=%d > max_samples=%d)", eps, N, max_samples
+            )
             continue
         kept.append(eps)
     report = run_experiment(

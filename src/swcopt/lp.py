@@ -38,7 +38,8 @@ class SolveResult:
 
 
 class LPBuilder:
-    """Incremental assembly; freeze with .build()."""
+    """Incremental assembly, one row at a time (the interchange parser and
+    the tests use it); freeze with .build()."""
 
     def __init__(self):
         self._lower: list[float] = []
@@ -130,61 +131,36 @@ class LPInstance:
         s, e = self.indptr[i], self.indptr[i + 1]
         return self.indices[s:e], self.data[s:e]
 
+    def _csr(self, data: np.ndarray | None = None):
+        """The rows as a scipy CSR matrix, optionally with other entry values."""
+        from scipy import sparse
+
+        return sparse.csr_matrix(
+            (self.data if data is None else data, self.indices, self.indptr),
+            shape=(self.nrows, self.ncols),
+        )
+
     def row_activity(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.nrows)
-        for i in range(self.nrows):
-            cols, vals = self.row(i)
-            out[i] = vals @ x[cols]
-        return out
+        return self._csr() @ x
 
     def max_violation(self, x: np.ndarray) -> float:
         """Worst constraint/bound violation of x (0 means feasible)."""
-        act = self.row_activity(x)
-        worst = 0.0
-        for i, s in enumerate(self.senses):
-            r = self.rhs[i]
-            if s == LE:
-                worst = max(worst, act[i] - r)
-            elif s == GE:
-                worst = max(worst, r - act[i])
-            else:
-                worst = max(worst, abs(act[i] - r))
-        worst = max(worst, float(np.max(self.lower - x, initial=0.0)))
-        worst = max(worst, float(np.max(x - self.upper, initial=0.0)))
-        return worst
+        senses = np.asarray(self.senses, dtype="<U2")
+        excess = self.row_activity(x) - self.rhs
+        excess = np.where(senses == GE, -excess, np.where(senses == EQ, np.abs(excess), excess))
+        return float(max(np.max(excess, initial=0.0), np.max(self.lower - x, initial=0.0),
+                         np.max(x - self.upper, initial=0.0)))
 
     def to_scipy(self):
-        """Split rows into (A_ub, b_ub, A_eq, b_eq) sparse matrices."""
-        from scipy import sparse
-
-        r_ub, c_ub, v_ub, b_ub = [], [], [], []
-        r_eq, c_eq, v_eq, b_eq = [], [], [], []
-        for i, s in enumerate(self.senses):
-            cols, vals = self.row(i)
-            if s == EQ:
-                r_eq.append(np.full(cols.size, len(b_eq)))
-                c_eq.append(cols)
-                v_eq.append(vals)
-                b_eq.append(self.rhs[i])
-            else:
-                sign = 1.0 if s == LE else -1.0
-                r_ub.append(np.full(cols.size, len(b_ub)))
-                c_ub.append(cols)
-                v_ub.append(sign * vals)
-                b_ub.append(sign * self.rhs[i])
-
-        def _mat(rows, cols, vals, m):
-            if m == 0:
-                return None
-            return sparse.csr_matrix(
-                (np.concatenate(vals) if vals else [],
-                 (np.concatenate(rows) if rows else [], np.concatenate(cols) if cols else [])),
-                shape=(m, self.ncols),
-            )
-
-        A_ub = _mat(r_ub, c_ub, v_ub, len(b_ub))
-        A_eq = _mat(r_eq, c_eq, v_eq, len(b_eq))
-        return A_ub, np.array(b_ub), A_eq, np.array(b_eq)
+        """Split rows into (A_ub, b_ub, A_eq, b_eq); >= rows enter A_ub negated.
+        A part without rows is None."""
+        senses = np.asarray(self.senses, dtype="<U2")
+        sign = np.where(senses == GE, -1.0, 1.0)
+        A = self._csr(self.data * np.repeat(sign, np.diff(self.indptr)))
+        A.sum_duplicates()  # canonical rows: sorted columns, repeats summed
+        eq = senses == EQ
+        return (A[~eq] if (~eq).any() else None, (sign * self.rhs)[~eq],
+                A[eq] if eq.any() else None, self.rhs[eq])
 
 
 def solve_highs(lp: LPInstance) -> SolveResult:

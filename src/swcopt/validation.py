@@ -76,7 +76,6 @@ def empirical_violation(
     N: int = 1,
     seed=0,
     solver="highs",
-    chunk_rows: int = 40000,
 ) -> float:
     """Fraction of L*N fresh paths with no budget-feasible recourse.
 
@@ -89,7 +88,7 @@ def empirical_violation(
     x1 = np.asarray(x1, dtype=float)
     _check_first_stage(problem, x1)
     paths = draw_paths(problem.uncertainty, L * N, seed)
-    costs = scenario_costs(problem, paths, solver, x1=x1, chunk_rows=chunk_rows)
+    costs = scenario_costs(problem, paths, solver, x1=x1)
     return float(np.mean(costs > gamma + VIOLATION_TOL))
 
 
@@ -228,7 +227,7 @@ def write_references_csv(references: dict[str, float], out_dir) -> Path:
 
 def _instance_task(payload) -> InstanceResult:
     (problem, eps, N, index, seed, solver, L, val_N, compute_bounds, rt_tail,
-     ro, chunk_rows) = payload
+     ro) = payload
     row = InstanceResult(eps=eps, index=index, seed=seed, N=N, ro_exact=ro)
     t0 = time.perf_counter()
     try:
@@ -237,8 +236,7 @@ def _instance_task(payload) -> InstanceResult:
         row.swc_value = value
         row.gap = optimality_gap(value, ro)
         row.violation = empirical_violation(
-            problem, x1, gamma, L=L, N=val_N, seed=[seed, 1], solver=solver,
-            chunk_rows=chunk_rows,
+            problem, x1, gamma, L=L, N=val_N, seed=[seed, 1], solver=solver
         )
         if compute_bounds:
             row.sws = sws_value(problem, train, solver)[0]
@@ -265,7 +263,6 @@ def run_experiment(
     rt_tail=None,
     jobs: int = 1,
     leaf_cap: int = 4096,
-    chunk_rows: int = 40000,
     verbose: bool = False,
 ) -> ExperimentReport:
     """Solve `instances` seeded scenario problems per accuracy level.
@@ -295,7 +292,7 @@ def run_experiment(
                 (
                     problem, eps, N, k, base_seed + k, solver, L,
                     validation_per_batch or N, compute_bounds, rt_tail,
-                    references["ro"], chunk_rows,
+                    references["ro"],
                 )
             )
     if jobs > 1:

@@ -12,8 +12,18 @@ import itertools
 
 import numpy as np
 
+from swcopt.builders import _check_problem
 from swcopt.lp import LPBuilder, LPInstance, get_solver
-from swcopt.model import EQ, GE, LE, DiscreteSupport, MultistageRobustLP
+from swcopt.model import (
+    EQ,
+    GE,
+    LE,
+    DiscreteSupport,
+    MultistageRobustLP,
+    ScenarioPath,
+    flatten_prefix,
+)
+from swcopt.sampling import ScenarioPrefixTree
 
 FEAS_TOL = 1e-9
 
@@ -289,3 +299,224 @@ def random_discrete_problem(rng: np.random.Generator, H: int) -> MultistageRobus
         stages=tuple(blocks),
         uncertainty=UncertaintySet(tuple(supports)),
     )
+
+
+# ---------------------------------------------------------------------------
+# row-wise reference builders
+#
+# The certificate, deterministic and stacked per-path LPs built one variable
+# and one row at a time through LPBuilder: the assembly swcopt.builders used
+# before its vectorised emitter, kept as the oracle of the differential test
+# in test_assembly.py.  First-stage columns of stacked blocks carry the
+# per-path tag "_s{i}", as later stages do, and build_swc returns its column
+# layout as the plain triple (gamma, x1, blocks).
+
+def _add_first_stage(b: LPBuilder, problem: MultistageRobustLP, names, obj_c1=False,
+                     tag: str = "") -> range:
+    cols = []
+    for k in range(problem.dims.n[0]):
+        lo = 0.0 if problem.nonneg[0][k] else -np.inf
+        obj = float(problem.c1[k]) if obj_c1 else 0.0
+        cols.append(b.add_var(lo, np.inf, obj, f"{names[0][k]}{tag}"))
+    for i in range(problem.dims.m[0]):
+        row = problem.A[i]
+        nz = np.nonzero(row)[0]
+        b.add_row([cols[j] for j in nz], row[nz], problem.senses1[i], problem.h1[i])
+    return range(cols[0], cols[-1] + 1) if cols else range(0, 0)
+
+
+def _add_stage_rows(
+    b: LPBuilder,
+    problem: MultistageRobustLP,
+    t: int,
+    xi: np.ndarray,
+    prev_cols: range,
+    cols: range,
+) -> None:
+    blk = problem.stage_block(t)
+    T, W, h = blk.T(xi), blk.W(xi), blk.h(xi)
+    for i in range(problem.dims.m[t - 1]):
+        r_cols, r_vals = [], []
+        nzT = np.nonzero(T[i])[0]
+        r_cols += [prev_cols[j] for j in nzT]
+        r_vals += list(T[i][nzT])
+        nzW = np.nonzero(W[i])[0]
+        r_cols += [cols[j] for j in nzW]
+        r_vals += list(W[i][nzW])
+        b.add_row(r_cols, r_vals, blk.senses[i], h[i])
+
+
+def _add_stage_vars(b: LPBuilder, problem: MultistageRobustLP, t: int, tag: str, names,
+                    obj: np.ndarray | None = None) -> range:
+    cols = []
+    for k in range(problem.dims.n[t - 1]):
+        lo = 0.0 if problem.nonneg[t - 1][k] else -np.inf
+        coef = float(obj[k]) if obj is not None else 0.0
+        cols.append(b.add_var(lo, np.inf, coef, f"{names[t - 1][k]}{tag}"))
+    return range(cols[0], cols[-1] + 1)
+
+
+def build_swc(
+    problem: MultistageRobustLP, tree: ScenarioPrefixTree
+) -> tuple[LPInstance, tuple[int, range, dict]]:
+    """Scenario-with-certificates LP over the sampled prefix tree.
+
+    Variables: budget gamma, the first-stage block, then one certificate
+    block per tree node in breadth-first order.  Rows shared by several
+    paths through a common prefix are emitted once.
+    """
+    _check_problem(problem)
+    H = problem.H
+    if tree.n_stages != H - 1:
+        raise ValueError(f"tree has {tree.n_stages} stages, problem expects {H - 1}")
+    names = problem.default_names()
+    b = LPBuilder()
+    gamma = b.add_var(-np.inf, np.inf, 1.0, "gamma")
+    x1 = _add_first_stage(b, problem, names)
+
+    blocks: dict[tuple[int, int], range] = {}
+    for level in range(1, H):  # tree level = uncertainty stage; decision stage level+1
+        for j in range(tree.n_nodes(level)):
+            blocks[(level + 1, j)] = _add_stage_vars(b, problem, level + 1, f"_n{level}_{j}", names)
+
+    for level in range(1, H):
+        t = level + 1
+        for j in range(tree.n_nodes(level)):
+            xi = flatten_prefix(tree.node_prefix(level, j))
+            prev = x1 if level == 1 else blocks[(t - 1, tree.parent[level - 1][j])]
+            _add_stage_rows(b, problem, t, xi, prev, blocks[(t, j)])
+
+    # one worst-case budget row per distinct full path (leaf node)
+    for leaf in range(tree.n_nodes(H - 1)):
+        cols = [gamma] + list(x1)
+        vals = [-1.0] + list(problem.c1)
+        node = leaf
+        chain = [node]
+        for level in range(H - 1, 1, -1):
+            node = tree.parent[level - 1][node]
+            chain.append(node)
+        chain.reverse()  # stage-1..stage-(H-1) nodes along this leaf's history
+        prefix = tree.node_prefix(H - 1, leaf)
+        for t in range(2, H + 1):
+            xi = flatten_prefix(prefix[: t - 1])
+            c_t = problem.stage_block(t).c(xi)
+            rng = blocks[(t, chain[t - 2])]
+            nz = np.nonzero(c_t)[0]
+            cols += [rng[k] for k in nz]
+            vals += list(c_t[nz])
+        b.add_row(cols, vals, LE, 0.0)
+    return b.build(), (gamma, x1, blocks)
+
+
+def build_deterministic(problem: MultistageRobustLP, path: ScenarioPath) -> LPInstance:
+    """Fully anticipative single-scenario LP (all stages decided knowing the path)."""
+    _check_problem(problem)
+    names = problem.default_names()
+    b = LPBuilder()
+    x1 = _add_first_stage(b, problem, names, obj_c1=True)
+    prev = x1
+    for t in range(2, problem.H + 1):
+        xi = path.flat(t - 1)
+        cols = _add_stage_vars(b, problem, t, "", names, obj=problem.stage_block(t).c(xi))
+        _add_stage_rows(b, problem, t, xi, prev, cols)
+        prev = cols
+    return b.build()
+
+
+def _separable_blocks(
+    problem: MultistageRobustLP,
+    paths: list[ScenarioPath],
+    x1: np.ndarray | None,
+) -> tuple[LPInstance, list[range], list[float]]:
+    """Block-diagonal stack of per-path LPs (independent blocks, summed
+    objective).  With x1 fixed the blocks are the recourse problems over
+    stages 2..H; otherwise each block is the full deterministic LP."""
+    names = problem.default_names()
+    b = LPBuilder()
+    block_cols: list[range] = []
+    consts: list[float] = []
+    for i, path in enumerate(paths):
+        start = b.ncols
+        if x1 is None:
+            prev = _add_first_stage(b, problem, names, obj_c1=True, tag=f"_s{i}")
+            const = 0.0
+        else:
+            prev = None
+            const = float(problem.c1 @ x1)
+        for t in range(2, problem.H + 1):
+            xi = path.flat(t - 1)
+            cols = _add_stage_vars(
+                b, problem, t, f"_s{i}", names, obj=problem.stage_block(t).c(xi)
+            )
+            if t == 2 and x1 is not None:
+                blk = problem.stage_block(2)
+                T, W, h = blk.T(xi), blk.W(xi), blk.h(xi)
+                shift = T @ x1
+                for r in range(problem.dims.m[1]):
+                    nz = np.nonzero(W[r])[0]
+                    b.add_row([cols[j] for j in nz], W[r][nz], blk.senses[r], h[r] - shift[r])
+            else:
+                _add_stage_rows(b, problem, t, xi, prev, cols)
+            prev = cols
+        block_cols.append(range(start, b.ncols))
+        consts.append(const)
+    return b.build(), block_cols, consts
+
+
+def row_activity(lp: LPInstance, x: np.ndarray) -> np.ndarray:
+    out = np.zeros(lp.nrows)
+    for i in range(lp.nrows):
+        cols, vals = lp.row(i)
+        out[i] = vals @ x[cols]
+    return out
+
+
+def max_violation(lp: LPInstance, x: np.ndarray) -> float:
+    """Worst constraint/bound violation of x (0 means feasible)."""
+    act = row_activity(lp, x)
+    worst = 0.0
+    for i, s in enumerate(lp.senses):
+        r = lp.rhs[i]
+        if s == LE:
+            worst = max(worst, act[i] - r)
+        elif s == GE:
+            worst = max(worst, r - act[i])
+        else:
+            worst = max(worst, abs(act[i] - r))
+    worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
+    worst = max(worst, float(np.max(x - lp.upper, initial=0.0)))
+    return worst
+
+
+def to_scipy(lp: LPInstance):
+    """Split rows into (A_ub, b_ub, A_eq, b_eq) sparse matrices, row by row."""
+    from scipy import sparse
+
+    r_ub, c_ub, v_ub, b_ub = [], [], [], []
+    r_eq, c_eq, v_eq, b_eq = [], [], [], []
+    for i, s in enumerate(lp.senses):
+        cols, vals = lp.row(i)
+        if s == EQ:
+            r_eq.append(np.full(cols.size, len(b_eq)))
+            c_eq.append(cols)
+            v_eq.append(vals)
+            b_eq.append(lp.rhs[i])
+        else:
+            sign = 1.0 if s == LE else -1.0
+            r_ub.append(np.full(cols.size, len(b_ub)))
+            c_ub.append(cols)
+            v_ub.append(sign * vals)
+            b_ub.append(sign * lp.rhs[i])
+
+    def _mat(rows, cols, vals, m):
+        if m == 0:
+            return None
+        return sparse.csr_matrix(
+            (np.concatenate(vals) if vals else [],
+             (np.concatenate(rows) if rows else [], np.concatenate(cols) if cols else [])),
+            shape=(m, lp.ncols),
+        )
+
+    A_ub = _mat(r_ub, c_ub, v_ub, len(b_ub))
+    A_eq = _mat(r_eq, c_eq, v_eq, len(b_eq))
+    return A_ub, np.array(b_ub), A_eq, np.array(b_eq)

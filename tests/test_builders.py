@@ -16,7 +16,7 @@ from swcopt.builders import (
     vertex_paths,
 )
 from swcopt.inventory import InventoryData, build_coc, inventory_benchmark, table_data
-from swcopt.lp import get_solver
+from swcopt.lp import SolveResult, SolverError, Status, get_solver
 from swcopt.model import DiscreteSupport, ScenarioPath, UncertaintySet
 from swcopt.sampling import build_prefix_tree, draw_paths
 
@@ -212,3 +212,40 @@ def test_relaxed_value_between_sws_and_swc():
     sws, _ = sws_value(problem, paths)
     assert sws <= relaxed + 1e-7
     assert relaxed <= swc + 1e-7
+
+
+def _scripted_solver(statuses):
+    """Stub solver: answers the stacked solve and then each per-path
+    fallback solve with the next status, and records every LP it got."""
+    seen = []
+
+    def solve(lp):
+        seen.append(lp)
+        status = statuses[len(seen) - 1]
+        if status is Status.OPTIMAL:
+            return SolveResult(status, 5.0, np.zeros(lp.ncols))
+        return SolveResult(status, None, None)
+
+    return solve, seen
+
+
+def test_scenario_costs_falls_back_per_path_after_nonoptimal_stack():
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
+    x1 = np.array([50.0, 60.0, 0.0])
+    solve, seen = _scripted_solver(
+        [Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED]
+    )
+    costs = scenario_costs(problem, paths, solve, x1=x1)
+    assert costs[0] == float(problem.c1 @ x1) + 5.0
+    assert costs[1] == np.inf and costs[2] == -np.inf
+    # one stacked solve, then one single-path LP per path
+    assert [lp.nrows for lp in seen] == [3 * seen[1].nrows] + [seen[1].nrows] * 3
+
+
+def test_scenario_costs_iteration_limit_is_a_solver_error():
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 2, seed=[1, 0])
+    solve, _ = _scripted_solver([Status.ITERATION_LIMIT] * 3)
+    with pytest.raises(SolverError, match="iteration_limit"):
+        scenario_costs(problem, paths, solve)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import random_lp
+from swcopt.builders import scenario_costs
+from swcopt.inventory import inventory_benchmark
 from swcopt.interchange import (
     ENV_SOLVER,
     ExternalSolverFailedError,
@@ -16,6 +18,7 @@ from swcopt.interchange import (
     write_solution,
 )
 from swcopt.lp import LPBuilder, Status
+from swcopt.sampling import draw_paths
 from swcopt.simplex import solve_builtin
 
 WORKER_CMD = f"{sys.executable} -m swcopt.external_worker"
@@ -141,3 +144,21 @@ def test_external_env_variable(monkeypatch):
 def test_external_nonzero_exit():
     with pytest.raises(ExternalSolverFailedError):
         solve_external(_sample_lp(), f"{sys.executable} -c 'import sys; sys.exit(9)' --")
+
+
+def test_duplicate_column_names_rejected():
+    b = LPBuilder()
+    b.add_var(0, np.inf, 1.0, "x")
+    b.add_var(0, np.inf, 1.0, "x")
+    b.add_row([0, 1], [1.0, 1.0], ">=", 1.0)
+    with pytest.raises(ValueError, match="duplicate"):
+        write_interchange(b.build())
+
+
+def test_external_stacked_costs_match_highs():
+    # stacked per-path LPs keep one first stage per path through the file
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 5, seed=[1, 0])
+    highs = scenario_costs(problem, paths, "highs")
+    external = scenario_costs(problem, paths, f"external:{WORKER_CMD}")
+    np.testing.assert_allclose(external, highs, rtol=0, atol=1e-6)
