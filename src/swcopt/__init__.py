@@ -9,6 +9,7 @@ from .model import (
     IntegerBoxSupport,
     MultistageRobustLP,
     ScenarioPath,
+    ScenarioPaths,
     StageBlock,
     StageDims,
     UncertaintySet,

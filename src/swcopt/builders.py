@@ -12,28 +12,20 @@ Turns a multistage robust model plus scenario data into concrete LPs:
                         mode), the anticipative worst case (RWS), and the
                         relaxation that reveals everything after stage one (RT).
 
-Vertex-based exact references rely on worst cases occurring at support
-vertices; that holds when the value function is convex in the uncertainty
-(coefficients affine, as in the shipped benchmark) but is an assumption for
-user-supplied models.
+Vertex-based exact references need worst cases at support vertices: true
+when T, W and c are constant (uncertainty only in h, as in the shipped
+benchmark) or every support is discrete; exact_value checks this.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .lp import LPInstance, SolveResult, SolverError, Status, get_solver, require_optimal
-from .model import (
-    LE,
-    MultistageRobustLP,
-    ScenarioPath,
-    UncertaintySet,
-    validate,
-)
+from .model import (LE, DiscreteSupport, MultistageRobustLP, ScenarioPath, ScenarioPaths,
+                    UncertaintySet, validate)
 from .sampling import ScenarioPrefixTree, build_prefix_tree
 
 DEFAULT_LEAF_CAP = 4096
@@ -70,10 +62,9 @@ def _check_problem(problem: MultistageRobustLP) -> None:
         raise ValueError("invalid model: " + "; ".join(errs))
 
 
-def _flat(prefixes, count: int, width: int) -> np.ndarray:
-    """(count, width) array of paths or prefixes given as tuples of stage tuples."""
-    chain = itertools.chain.from_iterable
-    return np.fromiter(chain(chain(prefixes)), float).reshape(count, width)
+def _check_widths(problem: MultistageRobustLP, paths: ScenarioPaths) -> None:
+    if paths.widths != (want := tuple(s.dim for s in problem.uncertainty.stages)):
+        raise ValueError(f"paths have stage dimensions {paths.widths}, the model expects {want}")
 
 
 def _span(starts: np.ndarray, width: int) -> np.ndarray:
@@ -149,7 +140,6 @@ class _Assembly:
             senses=tuple(self.senses.tolist()),
             rhs=self.rhs,
             names=tuple(self.names.tolist()),
-            row_names=tuple(map("c{}".format, range(nrows))),
         )
 
 
@@ -164,9 +154,8 @@ def build_swc(
     share the node), then one worst-case budget row per distinct path.
     """
     _check_problem(problem)
+    _check_widths(problem, tree.paths)
     H, n, m = problem.H, problem.dims.n, problem.dims.m
-    if tree.n_stages != H - 1:
-        raise ValueError(f"tree has {tree.n_stages} stages, problem expects {H - 1}")
     K = tree.node_counts()
     col0 = np.cumsum([1 + n[0], *np.multiply(K, n[1:])])  # first column of each level, then ncols
     row0 = np.cumsum([m[0], *np.multiply(K, m[1:])])      # first row of each level, then budget rows
@@ -176,10 +165,10 @@ def build_swc(
     starts = []
     for level in range(1, H):
         t, k = level + 1, np.arange(K[level - 1])
-        X = _flat(tree.nodes[level - 1], K[level - 1], problem.xi_dim_through(t))
+        X = tree.nodes[level - 1]
         c0 = col0[level - 1] + n[t - 1] * k
         # stage-2 rows always read x1 (relaxed groupings carry parent[0] = range(K))
-        prev = np.ones_like(k) if level == 1 else starts[-1][np.asarray(tree.parent[level - 1])]
+        prev = np.ones_like(k) if level == 1 else starts[-1][tree.parent[level - 1]]
         lp.columns(t, c0, f"_n{level}_")
         lp.stage(t, X, row0[level - 1] + m[t - 1] * k, c0, prev)
         starts.append(c0)
@@ -191,7 +180,7 @@ def build_swc(
     for t in range(H, 1, -1):
         cost = problem.stage_block(t).c.eval_many(X)  # X holds the leaves' full paths
         lp.entries(budget, starts[t - 2][node], cost[:, None, :])
-        node = np.asarray(tree.parent[t - 2])[node]
+        node = tree.parent[t - 2][node]
     lp.rows(budget, (LE,), 0.0)
     return lp.build(), VariableIndexMap(0, range(1, 1 + n[0]), tuple(starts), n[1:])
 
@@ -212,11 +201,12 @@ def _separable_blocks(
     stages 2..H; otherwise each block is the full deterministic LP.  Path
     i's columns are tagged "_s{i}".  Returns the LP, the first column of
     every block and the block width."""
+    paths = ScenarioPaths.of(paths)
+    _check_widths(problem, paths)
     first = 0 if x1 is None else 1  # index of the first decision stage in a block
     col_off = np.cumsum([0, *problem.dims.n[first:]])
     row_off = np.cumsum([0, *problem.dims.m[first:]])
-    P = len(paths)
-    X = _flat(map(attrgetter("stages"), paths), P, problem.uncertainty.total_dim)
+    P, X = len(paths), paths.values
     c0, r0 = col_off[-1] * np.arange(P), row_off[-1] * np.arange(P)
     lp = _Assembly(problem, P * row_off[-1], P * col_off[-1])
     prev = None
@@ -232,12 +222,8 @@ def _separable_blocks(
     return lp.build(), c0, int(col_off[-1])
 
 
-def scenario_costs(
-    problem: MultistageRobustLP,
-    paths: list[ScenarioPath],
-    solver="highs",
-    x1: np.ndarray | None = None,
-) -> np.ndarray:
+def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
+                   x1: np.ndarray | None = None) -> np.ndarray:
     """Optimal cost of every path's own LP; +inf where infeasible.
 
     With x1 given, the cost is c1'x1 plus the optimal recourse over stages
@@ -246,6 +232,7 @@ def scenario_costs(
     read off the stacked solution); a stack that is not solved to
     optimality falls back to per-path solves.
     """
+    paths = ScenarioPaths.of(paths)
     solve = get_solver(solver)
     const = 0.0 if x1 is None else float(problem.c1 @ x1)
     rows_per = sum(problem.dims.m[1:]) + (problem.dims.m[0] if x1 is None else 0)
@@ -253,18 +240,21 @@ def scenario_costs(
     out = np.empty(len(paths))
     for lo in range(0, len(paths), per_chunk):
         batch = paths[lo : lo + per_chunk]
-        lp, starts, width = _separable_blocks(problem, batch, x1)
+        lp, _, width = _separable_blocks(problem, batch, x1)
         res = solve(lp)
         if res.status is Status.OPTIMAL:
-            for k, s in enumerate(starts.tolist()):
-                out[lo + k] = const + float(lp.obj[s : s + width] @ res.x[s : s + width])
+            # blocks are contiguous and of equal width; a stacked matmul takes one
+            # dot product per block, as the BLAS dot of its slices would
+            cost = lp.obj.reshape(-1, 1, width) @ res.x.reshape(-1, width, 1)
+            out[lo : lo + len(batch)] = const + cost.ravel()
         else:
-            out[lo : lo + len(batch)] = [_single_cost(problem, p, solve, x1, const) for p in batch]
+            out[lo : lo + len(batch)] = [_single_cost(problem, batch[k : k + 1], solve, x1, const)
+                                         for k in range(len(batch))]
     return out
 
 
-def _single_cost(problem, path, solve, x1, const) -> float:
-    res = solve(_separable_blocks(problem, [path], x1)[0])
+def _single_cost(problem, path: ScenarioPaths, solve, x1, const) -> float:
+    res = solve(_separable_blocks(problem, path, x1)[0])
     if res.status is Status.OPTIMAL:
         return const + float(res.objective)
     if res.status is Status.INFEASIBLE:
@@ -274,16 +264,12 @@ def _single_cost(problem, path, solve, x1, const) -> float:
     raise SolverError(f"scenario solve ended with {res.status.value}")
 
 
-def sws_value(
-    problem: MultistageRobustLP, paths: list[ScenarioPath], solver="highs"
-) -> tuple[float, int]:
+def sws_value(problem: MultistageRobustLP, paths, solver="highs") -> tuple[float, int]:
     """Sampled wait-and-see bound: worst per-path anticipative optimum.
 
     Returns (value, index of the worst path).  A path with no feasible
     anticipative decision is reported by index in the raised error.
     """
-    if not paths:
-        raise ValueError("need at least one path")
     costs = scenario_costs(problem, paths, solver, x1=None)
     bad = np.nonzero(np.isinf(costs) & (costs > 0))[0]
     if bad.size:
@@ -292,22 +278,17 @@ def sws_value(
     return float(costs[worst]), worst
 
 
-def hybrid_paths(
-    uncertainty: UncertaintySet, xi1_samples, tail=None
-) -> list[ScenarioPath]:
+def hybrid_paths(uncertainty: UncertaintySet, xi1_samples, tail=None) -> ScenarioPaths:
     """Paths (xi1_i, tail) with a deterministic tail for stages 2..H-1
     (defaults to the per-stage nominal points)."""
     if tail is None:
         tail = [uncertainty.nominal(t) for t in range(2, uncertainty.n_stages + 1)]
     tail = [np.atleast_1d(np.asarray(v, dtype=float)) for v in tail]
     if len(tail) != max(0, uncertainty.n_stages - 1):
-        raise ValueError(
-            f"tail covers {len(tail)} stages, expected {uncertainty.n_stages - 1}"
-        )
-    out = []
-    for xi1 in xi1_samples:
-        out.append(ScenarioPath.of([np.atleast_1d(np.asarray(xi1, dtype=float)), *tail]))
-    return out
+        raise ValueError(f"tail covers {len(tail)} stages, expected {uncertainty.n_stages - 1}")
+    xi1 = np.asarray(xi1_samples, dtype=float).reshape(len(xi1_samples), -1)
+    return ScenarioPaths(np.hstack([xi1, *(np.broadcast_to(v, (len(xi1), v.size)) for v in tail)]),
+                         (xi1.shape[1], *(v.size for v in tail)))
 
 
 def swct_value(
@@ -328,39 +309,27 @@ def swct_value(
     return float(res.objective)
 
 
-def relaxed_grouping(paths: list[ScenarioPath]) -> ScenarioPrefixTree:
+def relaxed_grouping(paths) -> ScenarioPrefixTree:
     """Certificate grouping with nonanticipativity dropped after stage one:
-    every distinct full path keeps its own certificates at every stage
-    (exact duplicates still share).  Used for the two-stage relaxation."""
-    if not paths:
-        raise ValueError("cannot group zero paths")
-    S = paths[0].n_stages
-    if any(p.n_stages != S for p in paths):
-        raise ValueError("all paths must have the same stage count")
-    distinct: dict[tuple, int] = {}
-    owner: list[int] = []
-    reps: list[ScenarioPath] = []
-    for p in paths:
-        key = p.stages
-        j = distinct.get(key)
-        if j is None:
-            j = len(reps)
-            distinct[key] = j
-            reps.append(p)
-        owner.append(j)
-    nodes = tuple(tuple(p.prefix(t) for p in reps) for t in range(1, S + 1))
-    path_to_node = tuple(tuple(owner[i] for _ in range(S)) for i in range(len(paths)))
-    parent = tuple(tuple(range(len(reps))) for _ in range(S))
-    return ScenarioPrefixTree(tuple(paths), nodes, path_to_node, parent)
+    every distinct full path (a prefix-tree leaf; exact duplicates share)
+    keeps its own certificates at every stage.  For the two-stage relaxation."""
+    tree = build_prefix_tree(paths)
+    full, S = tree.nodes[-1], tree.n_stages
+    levels = tuple(full[:, :end] for end in np.cumsum(tree.paths.widths))
+    return ScenarioPrefixTree(tree.paths, levels, np.repeat(tree.path_to_node[:, -1:], S, axis=1),
+                              (np.arange(len(full)),) * S)
 
 
-def vertex_paths(uncertainty: UncertaintySet, leaf_cap: int = DEFAULT_LEAF_CAP) -> list[ScenarioPath]:
-    """Cartesian product of per-stage support vertices."""
-    per_stage = [uncertainty.vertices(t) for t in range(1, uncertainty.n_stages + 1)]
+def vertex_paths(uncertainty: UncertaintySet, leaf_cap: int = DEFAULT_LEAF_CAP) -> ScenarioPaths:
+    """Cartesian product of per-stage support vertices, in itertools.product
+    order (the last stage varies fastest)."""
+    per_stage = [np.stack(uncertainty.vertices(t)) for t in range(1, uncertainty.n_stages + 1)]
     total = math.prod(len(v) for v in per_stage)
     if total > leaf_cap:
         raise ValueError(f"vertex tree has {total} leaves, above the cap {leaf_cap}")
-    return [ScenarioPath.of(combo) for combo in itertools.product(*per_stage)]
+    combos = np.indices([len(v) for v in per_stage]).reshape(len(per_stage), total)
+    return ScenarioPaths(np.hstack([v[k] for v, k in zip(per_stage, combos)]),
+                         tuple(v.shape[1] for v in per_stage))
 
 
 def exact_value(
@@ -376,10 +345,16 @@ def exact_value(
     rws -- anticipative worst case (max over per-vertex-path optima);
     rt  -- relaxation where everything is revealed after stage one: shared
            first-stage block, per-vertex-path certificates.
+
+    Raises ValueError unless T, W and c are constant or every support is discrete.
     """
     mode = mode.lower()
     if mode not in EXACT_MODES:
         raise ValueError(f"mode must be one of {EXACT_MODES}, got {mode!r}")
+    if not all(isinstance(s, DiscreteSupport) for s in problem.uncertainty.stages) and any(
+            amap.terms for blk in problem.stages for amap in (blk.T, blk.W, blk.c)):
+        raise ValueError("exact references need worst cases at support vertices: T, W and c "
+                         "must be constant unless every support is discrete")
     paths = vertex_paths(problem.uncertainty, leaf_cap)
     if mode == "rws":
         value, _ = sws_value(problem, paths, solver)
@@ -390,9 +365,8 @@ def exact_value(
     return float(res.objective)
 
 
-def solve_swc_paths(
-    problem: MultistageRobustLP, paths: list[ScenarioPath], solver="highs"
-) -> tuple[float, np.ndarray, float, SolveResult]:
+def solve_swc_paths(problem: MultistageRobustLP, paths,
+                    solver="highs") -> tuple[float, np.ndarray, float, SolveResult]:
     """Convenience: build the prefix tree and solve; returns
     (value, x1, gamma, raw result)."""
     tree = build_prefix_tree(paths)

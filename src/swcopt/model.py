@@ -13,6 +13,7 @@ nonnegative; individual variables can be declared free (signed).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -23,7 +24,8 @@ _SENSES = (LE, EQ, GE)
 
 
 def _freeze(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    """A read-only view of a as an array (the caller's array stays writeable)."""
+    arr = np.asarray(a, dtype=float).view()
     arr.flags.writeable = False
     return arr
 
@@ -198,7 +200,7 @@ class DiscreteSupport:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         picks = rng.integers(0, len(self.values), size=size)
-        return np.stack([self.values[i] for i in picks])
+        return np.stack(self.values)[picks]
 
     def center(self) -> np.ndarray:
         return np.mean(np.stack(self.values), axis=0)
@@ -222,10 +224,6 @@ class UncertaintySet:
 
     def dim(self, t: int) -> int:
         return self._stage(t).dim
-
-    @property
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.stages)
 
     def _stage(self, t: int) -> Support:
         if not 1 <= t <= self.n_stages:
@@ -258,8 +256,7 @@ def stage_vertices(uncertainty: UncertaintySet, t: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ScenarioPath:
-    """One realization (xi^1, ..., xi^{H-1}), stored as nested tuples so
-    prefixes are hashable and compare by exact value."""
+    """One realization (xi^1, ..., xi^{H-1}) as one tuple per stage (a row of a ScenarioPaths)."""
 
     stages: tuple[tuple[float, ...], ...]
 
@@ -275,13 +272,53 @@ class ScenarioPath:
         return self.stages[:t]
 
     def flat(self, through_stage: int | None = None) -> np.ndarray:
-        upto = self.n_stages if through_stage is None else through_stage
-        vals = [v for stage in self.stages[:upto] for v in stage]
-        return np.array(vals, dtype=float)
+        return np.array([v for stage in self.stages[:through_stage] for v in stage], dtype=float)
 
 
-def flatten_prefix(prefix: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    return np.array([v for stage in prefix for v in stage], dtype=float)
+@dataclass(frozen=True, eq=False)
+class ScenarioPaths:
+    """N scenario paths as one read-only (N, D) float64 array: row i is
+    path i, its stage-t values in the next widths[t-1] columns.  An int
+    index gives a ScenarioPath view, a slice gives a ScenarioPaths."""
+
+    values: np.ndarray
+    widths: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _freeze(self.values))
+        if self.values.ndim != 2 or self.values.shape[1] != sum(self.widths):
+            raise ValueError(f"path array of shape {self.values.shape} "
+                             f"does not fit stage widths {self.widths}")
+
+    @classmethod
+    def of(cls, paths) -> "ScenarioPaths":
+        """Stack a sequence of ScenarioPath; a ScenarioPaths is returned as is."""
+        if isinstance(paths, ScenarioPaths):
+            return paths
+        stages = [p.stages for p in paths]
+        if not stages:
+            raise ValueError("need at least one path")
+        widths = tuple(map(len, stages[0]))
+        if any(tuple(map(len, s)) != widths for s in stages):
+            raise ValueError("all paths must have the same stage count and stage dimensions")
+        return cls(np.array([[v for st in s for v in st] for s in stages], float), widths)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ScenarioPaths(self.values[i], self.widths)
+        return next(iter(ScenarioPaths(self.values[operator.index(i)][None], self.widths)))
+
+    def __iter__(self):
+        cuts = list(itertools.pairwise(itertools.accumulate(self.widths, initial=0)))
+        for row in self.values.tolist():
+            yield ScenarioPath(tuple([tuple(row[a:b]) for a, b in cuts]))
+
+    def __eq__(self, other):
+        return (isinstance(other, ScenarioPaths) and self.widths == other.widths
+                and np.array_equal(self.values, other.values))
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def _instance_task(payload) -> InstanceResult:
         )
         if compute_bounds:
             row.sws = sws_value(problem, train, solver)[0]
-            xi1s = [p.stages[0] for p in train]
+            xi1s = train.values[:, : problem.uncertainty.dim(1)]
             row.swct = swct_value(problem, xi1s, rt_tail, solver)
     except (SolverError, RuntimeError, ValueError) as exc:
         row.error = f"{type(exc).__name__}: {exc}"

@@ -14,6 +14,9 @@ import numpy as np
 
 from swcopt.builders import _check_problem
 from swcopt.lp import LPBuilder, LPInstance, get_solver
+from dataclasses import dataclass
+from typing import Sequence
+
 from swcopt.model import (
     EQ,
     GE,
@@ -21,9 +24,8 @@ from swcopt.model import (
     DiscreteSupport,
     MultistageRobustLP,
     ScenarioPath,
-    flatten_prefix,
+    UncertaintySet,
 )
-from swcopt.sampling import ScenarioPrefixTree
 
 FEAS_TOL = 1e-9
 
@@ -299,6 +301,133 @@ def random_discrete_problem(rng: np.random.Generator, H: int) -> MultistageRobus
         stages=tuple(blocks),
         uncertainty=UncertaintySet(tuple(supports)),
     )
+
+
+# ---------------------------------------------------------------------------
+# tuple-path reference sampling and grouping
+#
+# Paths as ScenarioPath tuples and the prefix tree keyed by tuple-of-tuple
+# prefixes in dictionaries: the representation swcopt.sampling and
+# swcopt.builders used before paths became one (N, D) array, kept as the
+# oracle of the differential tests in test_sampling.py and test_assembly.py.
+
+PrefixKey = tuple[tuple[float, ...], ...]
+
+
+def flatten_prefix(prefix: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    return np.array([v for stage in prefix for v in stage], dtype=float)
+
+
+def draw_paths(uncertainty: UncertaintySet, N: int, seed, sampler=None) -> list[ScenarioPath]:
+    """Draw N iid scenario paths, each stage independently uniform on its support.
+
+    Deterministic for a fixed seed (any value accepted by
+    ``numpy.random.default_rng``).  A non-uniform distribution plugs in as
+    ``sampler(support, rng, size) -> (size, dim) array``, called once per
+    stage; the default defers to each support's own uniform draw.
+    """
+    if N < 1:
+        raise ValueError(f"need at least one path, got N={N}")
+    rng = np.random.default_rng(seed)
+    if sampler is None:
+        per_stage = [
+            uncertainty.sample_stage(t, rng, N) for t in range(1, uncertainty.n_stages + 1)
+        ]
+    else:
+        per_stage = [sampler(sup, rng, N) for sup in uncertainty.stages]
+    return [ScenarioPath.of([draws[i] for draws in per_stage]) for i in range(N)]
+
+
+@dataclass(frozen=True)
+class ScenarioPrefixTree:
+    """Sampled paths grouped by shared prefixes.
+
+    nodes[t-1] lists the distinct realized prefixes through stage t in
+    first-seen order; path_to_node[i][t-1] maps path i to its stage-t node;
+    parent[t-1][j] is node j's stage-(t-1) node (parent[0] is all zeros,
+    pointing at the root that holds the first-stage decisions).
+    """
+
+    leaf_paths: tuple[ScenarioPath, ...]
+    nodes: tuple[tuple[PrefixKey, ...], ...]
+    path_to_node: tuple[tuple[int, ...], ...]
+    parent: tuple[tuple[int, ...], ...]
+
+    @property
+    def n_stages(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.leaf_paths)
+
+    def n_nodes(self, t: int) -> int:
+        return len(self.nodes[t - 1])
+
+    def node_prefix(self, t: int, j: int) -> PrefixKey:
+        return self.nodes[t - 1][j]
+
+    def node_counts(self) -> tuple[int, ...]:
+        return tuple(len(level) for level in self.nodes)
+
+
+def build_prefix_tree(paths: Sequence[ScenarioPath]) -> ScenarioPrefixTree:
+    """Group paths by the exact-equality prefix rule."""
+    if not paths:
+        raise ValueError("cannot build a prefix tree from zero paths")
+    S = paths[0].n_stages
+    if any(p.n_stages != S for p in paths):
+        raise ValueError("all paths must have the same stage count")
+    nodes: list[list[PrefixKey]] = [[] for _ in range(S)]
+    index: list[dict[PrefixKey, int]] = [{} for _ in range(S)]
+    parent: list[list[int]] = [[] for _ in range(S)]
+    path_to_node: list[list[int]] = []
+    for p in paths:
+        assignment = []
+        prev = 0
+        for t in range(1, S + 1):
+            key = p.prefix(t)
+            j = index[t - 1].get(key)
+            if j is None:
+                j = len(nodes[t - 1])
+                index[t - 1][key] = j
+                nodes[t - 1].append(key)
+                parent[t - 1].append(prev)
+            assignment.append(j)
+            prev = j
+        path_to_node.append(assignment)
+    return ScenarioPrefixTree(
+        leaf_paths=tuple(paths),
+        nodes=tuple(tuple(level) for level in nodes),
+        path_to_node=tuple(tuple(a) for a in path_to_node),
+        parent=tuple(tuple(level) for level in parent),
+    )
+
+
+def relaxed_grouping(paths: list[ScenarioPath]) -> ScenarioPrefixTree:
+    """Certificate grouping with nonanticipativity dropped after stage one:
+    every distinct full path keeps its own certificates at every stage
+    (exact duplicates still share).  Used for the two-stage relaxation."""
+    if not paths:
+        raise ValueError("cannot group zero paths")
+    S = paths[0].n_stages
+    if any(p.n_stages != S for p in paths):
+        raise ValueError("all paths must have the same stage count")
+    distinct: dict[tuple, int] = {}
+    owner: list[int] = []
+    reps: list[ScenarioPath] = []
+    for p in paths:
+        key = p.stages
+        j = distinct.get(key)
+        if j is None:
+            j = len(reps)
+            distinct[key] = j
+            reps.append(p)
+        owner.append(j)
+    nodes = tuple(tuple(p.prefix(t) for p in reps) for t in range(1, S + 1))
+    path_to_node = tuple(tuple(owner[i] for _ in range(S)) for i in range(len(paths)))
+    parent = tuple(tuple(range(len(reps))) for _ in range(S))
+    return ScenarioPrefixTree(tuple(paths), nodes, path_to_node, parent)
 
 
 # ---------------------------------------------------------------------------

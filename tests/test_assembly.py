@@ -2,12 +2,18 @@
 
 Every field of every LPInstance the builders emit must equal, bit for bit,
 the one the row-wise reference builders in oracles.py emit for the same
-input; so must the sparse split that feeds HiGHS.  The one intended
-difference is naming: build_deterministic is the one-path stack, so its
-columns carry the tag "_s0".  Row activities and the worst violation sum
-in another order than the row loop and may differ from it by rounding.
+input; so must the sparse split that feeds HiGHS.  The certificate LPs are
+compared from draw to LP: the array paths and their lexsort prefix tree
+feed the builder, the oracle's tuple paths and dict tree feed the oracle
+builder.  Intended differences: the builders leave row_names empty (the
+interchange writer then names rows c0, c1, ... as the oracle does, so the
+written files are identical), and build_deterministic is the one-path
+stack, so its columns carry the tag "_s0".  Row activities and the worst
+violation sum in another order than the row loop and may differ from it by
+rounding.
 """
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,8 +28,10 @@ from swcopt.builders import (
     relaxed_grouping,
     vertex_paths,
 )
+from swcopt.interchange import write_interchange
 from swcopt.inventory import inventory_benchmark
 from swcopt.lp import LPInstance
+from swcopt.model import ScenarioPath
 from swcopt.sampling import build_prefix_tree, draw_paths
 
 
@@ -33,10 +41,15 @@ def _same_array(a, b, what):
 
 
 def assert_same_lp(new: LPInstance, old: LPInstance, names=None):
+    assert new.row_names == ()
+    if names is None:
+        assert write_interchange(new) == write_interchange(old)
     for field in dataclasses.fields(LPInstance):
         a, b = getattr(new, field.name), getattr(old, field.name)
         if field.name == "names" and names is not None:
             b = names
+        if field.name == "row_names":
+            b = ()
         if isinstance(a, np.ndarray):
             _same_array(a, b, field.name)
         else:
@@ -58,11 +71,22 @@ def assert_same_lp(new: LPInstance, old: LPInstance, names=None):
                 _same_array(getattr(a, part), getattr(b, part), part)
 
 
-def assert_same_swc(problem, grouping):
-    new, vmap = build_swc(problem, grouping)
-    old, (gamma, x1, blocks) = oracles.build_swc(problem, grouping)
-    assert_same_lp(new, old)
-    assert (vmap.gamma, vmap.x1, vmap.blocks) == (gamma, x1, blocks)
+def assert_same_swc(problem, paths, old_paths):
+    """Both groupings of the paths: array tree and builder against the
+    oracle's tuple tree and row-wise builder."""
+    for group, old_group in ((build_prefix_tree, oracles.build_prefix_tree),
+                             (relaxed_grouping, oracles.relaxed_grouping)):
+        new, vmap = build_swc(problem, group(paths))
+        old, (gamma, x1, blocks) = oracles.build_swc(problem, old_group(old_paths))
+        assert_same_lp(new, old)
+        assert (vmap.gamma, vmap.x1, vmap.blocks) == (gamma, x1, blocks)
+
+
+def draw_both(uncertainty, N, seed):
+    """The array draw and the oracle's tuple draw of the same paths."""
+    paths, old_paths = draw_paths(uncertainty, N, seed), oracles.draw_paths(uncertainty, N, seed)
+    assert list(paths) == old_paths
+    return paths, old_paths
 
 
 def assert_same_stacks(problem, paths, x1):
@@ -94,9 +118,8 @@ def test_random_discrete_models_match_rowwise_oracle(H, N, seed, free, zero_cost
     if zero_cost:
         c1[0] = 0.0
     problem = dataclasses.replace(problem, nonneg=nonneg, c1=c1)
-    paths = draw_paths(problem.uncertainty, N, seed)  # few support points: prefixes repeat
-    assert_same_swc(problem, build_prefix_tree(paths))
-    assert_same_swc(problem, relaxed_grouping(paths))
+    paths, old_paths = draw_both(problem.uncertainty, N, seed)  # few support points: prefixes repeat
+    assert_same_swc(problem, paths, old_paths)
     assert_same_stacks(problem, paths, rng.uniform(0.0, 2.0, problem.dims.n[0]))
 
 
@@ -104,15 +127,16 @@ def test_random_discrete_models_match_rowwise_oracle(H, N, seed, free, zero_cost
 @pytest.mark.parametrize("N", [1, 63])
 def test_inventory_matches_rowwise_oracle(variant, N):
     problem = inventory_benchmark(5, variant)
-    paths = draw_paths(problem.uncertainty, N, [N, 0])
-    assert_same_swc(problem, build_prefix_tree(paths))
-    assert_same_swc(problem, relaxed_grouping(paths))
+    paths, old_paths = draw_both(problem.uncertainty, N, [N, 0])
+    assert_same_swc(problem, paths, old_paths)
     assert_same_stacks(problem, paths, np.array([120.0, 94.0, 0.0]))
 
 
 def test_vertex_trees_match_rowwise_oracle():
     problem = inventory_benchmark(5)
     paths = vertex_paths(problem.uncertainty)
-    assert_same_swc(problem, build_prefix_tree(paths))
-    assert_same_swc(problem, relaxed_grouping(paths))
+    per_stage = [problem.uncertainty.vertices(t) for t in range(1, 5)]
+    old_paths = [ScenarioPath.of(combo) for combo in itertools.product(*per_stage)]
+    assert list(paths) == old_paths
+    assert_same_swc(problem, paths, old_paths)
     assert_same_stacks(problem, paths, np.array([120.0, 94.0, 0.0]))

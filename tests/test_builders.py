@@ -17,7 +17,7 @@ from swcopt.builders import (
 )
 from swcopt.inventory import InventoryData, build_coc, inventory_benchmark, table_data
 from swcopt.lp import SolveResult, SolverError, Status, get_solver
-from swcopt.model import DiscreteSupport, ScenarioPath, UncertaintySet
+from swcopt.model import AffineMap, DiscreteSupport, ScenarioPath, UncertaintySet
 from swcopt.sampling import build_prefix_tree, draw_paths
 
 SOLVE = get_solver("highs")
@@ -184,6 +184,24 @@ def test_leaf_cap_enforced():
         exact_value(problem, "ro", leaf_cap=8)
 
 
+def test_exact_value_checks_the_vertex_assumption():
+    # an uncertain cost over a box support: its worst case need not be a vertex
+    problem = inventory_benchmark(3)
+    assert not any(m.terms for b in problem.stages for m in (b.T, b.W, b.c))
+    blk = problem.stage_block(2)
+    c = AffineMap(blk.c.base, ((0, np.full(blk.c.shape, 0.01)),))
+    uncertain = dataclasses.replace(
+        problem, stages=(dataclasses.replace(blk, c=c), *problem.stages[1:]))
+    for mode in ("ro", "rws", "rt"):
+        with pytest.raises(ValueError, match="vertices"):
+            exact_value(uncertain, mode)
+    # the same uncertain cost over discrete supports: vertices are the whole support
+    support = DiscreteSupport((np.array([60.0]), np.array([90.0])))
+    discrete = dataclasses.replace(
+        uncertain, uncertainty=UncertaintySet((support,) * uncertain.uncertainty.n_stages))
+    assert exact_value(discrete, "ro") >= exact_value(discrete, "rws") - 1e-7
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         exact_value(inventory_benchmark(2), "nope")
@@ -198,8 +216,8 @@ def test_relaxed_grouping_keeps_duplicates_together():
     g = relaxed_grouping(paths)
     # two distinct full paths; the shared prefix does not merge them
     assert g.node_counts() == (2, 2)
-    assert g.path_to_node[0] == g.path_to_node[2]
-    assert g.path_to_node[0] != g.path_to_node[1]
+    assert list(g.path_to_node[0]) == list(g.path_to_node[2])
+    assert list(g.path_to_node[0]) != list(g.path_to_node[1])
 
 
 def test_relaxed_value_between_sws_and_swc():

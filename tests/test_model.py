@@ -9,6 +9,7 @@ from swcopt.model import (
     DiscreteSupport,
     IntegerBoxSupport,
     ScenarioPath,
+    ScenarioPaths,
     StageDims,
     evaluate_coefficients,
     stage_vertices,
@@ -172,6 +173,31 @@ def test_scenario_path_flatten_and_prefix():
     np.testing.assert_array_equal(p.flat(), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(p.flat(1), [1.0, 2.0])
     assert p.prefix(1) == ((1.0, 2.0),)
+
+
+def test_scenario_paths_container():
+    views = [ScenarioPath.of([[1.0, 2.0], [3.0]]), ScenarioPath.of([[4.0, 5.0], [6.0]])]
+    paths = ScenarioPaths.of(views)
+    assert ScenarioPaths.of(paths) is paths
+    assert paths.widths == (2, 1) and len(paths) == 2
+    np.testing.assert_array_equal(paths.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert paths[1] == views[1] and paths[np.int64(-2)] == views[0]
+    assert list(paths) == views
+    assert paths[1:] == ScenarioPaths(np.array([[4.0, 5.0, 6.0]]), (2, 1))
+    assert paths != ScenarioPaths(paths.values, (1, 2))
+    with pytest.raises(ValueError):
+        paths.values[0, 0] = 9.0
+
+
+def test_scenario_paths_reject_ragged_input():
+    with pytest.raises(ValueError, match="at least one"):
+        ScenarioPaths.of([])
+    with pytest.raises(ValueError, match="stage count"):
+        ScenarioPaths.of([ScenarioPath.of([[1.0]]), ScenarioPath.of([[1.0], [2.0]])])
+    with pytest.raises(ValueError, match="stage dimensions"):
+        ScenarioPaths.of([ScenarioPath.of([[1.0], [2.0]]), ScenarioPath.of([[1.0, 0.0], [2.0]])])
+    with pytest.raises(ValueError, match="widths"):
+        ScenarioPaths(np.zeros((3, 2)), (1, 2))
 
 
 def test_problem_json_round_trip():

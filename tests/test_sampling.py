@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from swcopt.builders import relaxed_grouping
 from swcopt.model import (
     BoxSupport,
     DiscreteSupport,
     IntegerBoxSupport,
     ScenarioPath,
+    ScenarioPaths,
     UncertaintySet,
 )
 from swcopt.sampling import build_prefix_tree, draw_paths
@@ -126,3 +129,85 @@ def test_parent_links_consistent():
         leaf = tree.path_to_node[i][1]
         assert tree.parent[1][leaf] == tree.path_to_node[i][0]
         assert tree.node_prefix(2, leaf) == p.prefix(2)
+
+
+def test_draw_paths_is_one_float_array():
+    uns = _mixed_set()
+    N, D = 300, 4
+    paths = draw_paths(uns, N, seed=5)
+    assert paths.values.shape == (N, D) and paths.widths == (1, 1, 2)
+    assert paths.values.dtype == np.float64 and paths.values.nbytes == 8 * N * D
+    assert not paths.values.flags.writeable
+    rng = np.random.default_rng(5)
+    want = np.hstack([uns.sample_stage(t, rng, N) for t in range(1, 4)])
+    assert paths.values.tobytes() == want.tobytes()
+    assert list(paths) == oracles.draw_paths(uns, N, seed=5)
+
+
+def test_custom_sampler_of_wrong_shape_names_the_stage():
+    uns = _mixed_set()
+
+    def one_short(support, rng, size):
+        return support.sample(rng, size - 1)
+
+    def transposed(support, rng, size):
+        draws = support.sample(rng, size)
+        return draws.T if support.dim > 1 else draws
+
+    with pytest.raises(ValueError, match="stage 1"):
+        draw_paths(uns, 10, seed=1, sampler=one_short)
+    with pytest.raises(ValueError, match="stage 3"):  # the two-dimensional stage
+        draw_paths(uns, 10, seed=1, sampler=transposed)
+
+
+def assert_tree_matches_oracle(paths: ScenarioPaths):
+    """Every field of the lexsort tree and of the relaxed grouping equals the
+    dict-based oracle's, node values bit for bit."""
+    for group, old_group in ((build_prefix_tree, oracles.build_prefix_tree),
+                             (relaxed_grouping, oracles.relaxed_grouping)):
+        tree, old = group(paths), old_group(list(paths))
+        assert tree.node_counts() == old.node_counts()
+        assert all(type(k) is int for k in tree.node_counts())
+        assert tree.path_to_node.tolist() == [list(a) for a in old.path_to_node]
+        for t in range(1, len(paths.widths) + 1):
+            want = np.array([oracles.flatten_prefix(key) for key in old.nodes[t - 1]])
+            assert tree.nodes[t - 1].shape == want.shape
+            assert tree.nodes[t - 1].tobytes() == want.tobytes()
+            assert tree.parent[t - 1].tolist() == list(old.parent[t - 1])
+            assert [tree.node_prefix(t, j) for j in range(tree.n_nodes(t))] == list(old.nodes[t - 1])
+
+
+@st.composite
+def path_sets(draw):
+    """Few distinct values (so ties at every stage), stages one or two wide,
+    repeated rows, and 0.0 beside -0.0."""
+    widths = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    D = sum(widths)
+    value = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0])
+    rows = draw(st.lists(st.lists(value, min_size=D, max_size=D), min_size=1, max_size=16))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    return ScenarioPaths(np.array(rows).reshape(len(rows), D), widths)
+
+
+@given(path_sets())
+@example(ScenarioPaths(np.array([[2.0, 1.0]]), (1, 1)))                 # one path
+@example(ScenarioPaths(np.array([[0.0, 1.0], [-0.0, 2.0]]), (1, 1)))    # 0.0 and -0.0 share
+@settings(max_examples=150, deadline=None)
+def test_lexsort_tree_matches_dict_oracle(paths):
+    assert_tree_matches_oracle(paths)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_drawn_trees_match_dict_oracle(seed):
+    # integer ties, a two-dimensional discrete stage and continuous draws
+    uns = UncertaintySet(
+        (
+            IntegerBoxSupport(np.array([1]), np.array([3])),
+            DiscreteSupport((np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))),
+            IntegerBoxSupport(np.array([0, 0]), np.array([1, 2])),
+            BoxSupport(np.array([75.0]), 0.3),
+        )
+    )
+    paths = draw_paths(uns, 60, seed)
+    assert_tree_matches_oracle(paths)
+    assert_tree_matches_oracle(paths[:1])
