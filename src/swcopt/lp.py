@@ -37,6 +37,14 @@ class SolveResult:
     time_s: float = 0.0
 
 
+def row_excess(senses, activity: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """How far each row's activity lies past its right-hand side in the
+    direction its sense forbids; positive only where the row is violated."""
+    senses = np.asarray(senses, dtype="<U2")
+    excess = activity - rhs
+    return np.where(senses == GE, -excess, np.where(senses == EQ, np.abs(excess), excess))
+
+
 class LPBuilder:
     """Incremental assembly, one row at a time (the interchange parser and
     the tests use it); freeze with .build()."""
@@ -145,9 +153,7 @@ class LPInstance:
 
     def max_violation(self, x: np.ndarray) -> float:
         """Worst constraint/bound violation of x (0 means feasible)."""
-        senses = np.asarray(self.senses, dtype="<U2")
-        excess = self.row_activity(x) - self.rhs
-        excess = np.where(senses == GE, -excess, np.where(senses == EQ, np.abs(excess), excess))
+        excess = row_excess(self.senses, self.row_activity(x), self.rhs)
         return float(max(np.max(excess, initial=0.0), np.max(self.lower - x, initial=0.0),
                          np.max(x - self.upper, initial=0.0)))
 

@@ -1,23 +1,31 @@
 """Self-contained two-phase revised simplex with Bland's anti-cycling rule.
 
 Desk-scale by design: dense basis inverse maintained by product-form
-updates with a full refactorization every 64 pivots.  Instances whose
-standardized size exceeds the limit are refused (route those to HiGHS or
-an external solver) unless force=True.
+updates with a full refactorization every 64 pivots.  The standard form is
+built from the LP's sparse rows with array operations; each independent
+block (connected component of rows and columns) is solved on its own, and
+one whose standardized size exceeds the limit is refused before it is made
+dense (route those to HiGHS or an external solver) unless force=True.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lp import LPInstance, SolveResult, SolverError, Status
-from .model import EQ, GE, LE
+from .lp import LPInstance, SolveResult, SolverError, Status, row_excess
+from .model import EQ, LE
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 REFACTOR_EVERY = 64
 DEFAULT_SIZE_LIMIT = 6000
 _PIVOT_TOL = 1e-9
+# a stack takes the first of these that any of its blocks reports
+_STATUS_ORDER = (Status.INFEASIBLE, Status.ITERATION_LIMIT, Status.UNBOUNDED)
 
 
 class BuiltinSizeLimitError(SolverError):
@@ -26,13 +34,23 @@ class BuiltinSizeLimitError(SolverError):
 
 @dataclass
 class _StandardForm:
-    A: np.ndarray          # (m, n) equality system A x = b, x >= 0
+    """A z = b, z >= 0, min c'z, with the original x = const + R @ z[:R.shape[1]]."""
+
+    A: sparse.csr_matrix    # (m, n), before the flip below
+    flip: np.ndarray        # rows negated, in the dense blocks, so that b >= 0
     b: np.ndarray
     c: np.ndarray
-    offset: float          # objective constant from bound shifts
-    # per original variable: (constant, [(std col, coefficient), ...])
-    recover: list[tuple[float, list[tuple[int, float]]]]
     slack_plus: np.ndarray  # per row: slack column with +1 coefficient, or -1
+    R: sparse.csr_matrix    # (ncols, structural columns): +-1 per column, two if free
+    const: np.ndarray       # bound shifts
+
+    def dense(self, rows, cols) -> np.ndarray:
+        A = self.A[rows][:, cols].toarray()
+        A[self.flip[rows]] *= -1.0
+        return A
+
+    def original(self, z: np.ndarray) -> np.ndarray:
+        return self.const + self.R @ z[: self.R.shape[1]]
 
 
 def _standardize(lp: LPInstance) -> _StandardForm | None:
@@ -40,92 +58,46 @@ def _standardize(lp: LPInstance) -> _StandardForm | None:
 
     Returns None when a trivially empty row is inconsistent (infeasible).
     """
-    cols_of: list[list[tuple[int, float]]] = []
-    const_of: list[float] = []
-    ncols = 0
-    extra_rows: list[tuple[int, float]] = []  # (std col, upper) for boxed vars
-    for j in range(lp.ncols):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if np.isinf(lo) and np.isinf(hi):
-            cols_of.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            const_of.append(0.0)
-            ncols += 2
-        elif np.isinf(hi):
-            cols_of.append([(ncols, 1.0)])
-            const_of.append(float(lo))
-            ncols += 1
-        elif np.isinf(lo):
-            cols_of.append([(ncols, -1.0)])
-            const_of.append(float(hi))
-            ncols += 1
-        else:
-            cols_of.append([(ncols, 1.0)])
-            const_of.append(float(lo))
-            extra_rows.append((ncols, float(hi - lo)))
-            ncols += 1
+    from scipy import sparse
 
-    rows: list[dict[int, float]] = []
-    rhs: list[float] = []
-    senses: list[str] = []
-    for i in range(lp.nrows):
-        cols, vals = lp.row(i)
-        coefs: dict[int, float] = {}
-        shift = 0.0
-        for col, val in zip(cols, vals):
-            shift += val * const_of[col]
-            for std_col, a in cols_of[col]:
-                coefs[std_col] = coefs.get(std_col, 0.0) + val * a
-        coefs = {k: v for k, v in coefs.items() if v != 0.0}
-        r = lp.rhs[i] - shift
-        if not coefs:
-            s = lp.senses[i]
-            ok = (s == LE and r >= -1e-12) or (s == GE and r <= 1e-12) or (
-                s == EQ and abs(r) <= 1e-12
-            )
-            if not ok:
-                return None
-            continue  # trivially satisfied empty row
-        rows.append(coefs)
-        rhs.append(r)
-        senses.append(lp.senses[i])
-    for std_col, width in extra_rows:
-        rows.append({std_col: 1.0})
-        rhs.append(width)
-        senses.append(LE)
+    lo, hi = lp.lower, lp.upper
+    free = np.isinf(lo) & np.isinf(hi)
+    upper_only = np.isinf(lo) & ~free
+    boxed = ~np.isinf(lo) & ~np.isinf(hi)
+    const = np.where(free, 0.0, np.where(upper_only, hi, lo))
+    width = 1 + free
+    start = np.cumsum(width) - width
+    nstd = int(width.sum())
+    sign = np.ones(nstd)
+    sign[start[upper_only]] = -1.0
+    sign[start[free] + 1] = -1.0
+    R = sparse.csr_matrix((sign, np.arange(nstd), np.concatenate([[0], np.cumsum(width)])),
+                          shape=(lp.ncols, nstd))
 
-    m = len(rows)
-    n_slack = sum(1 for s in senses if s != EQ)
-    n = ncols + n_slack
-    A = np.zeros((m, n))
-    b = np.array(rhs)
-    slack_plus = np.full(m, -1, dtype=np.int64)
-    k = ncols
-    for i, (coefs, s) in enumerate(zip(rows, senses)):
-        for col, val in coefs.items():
-            A[i, col] = val
-        if s != EQ:
-            A[i, k] = 1.0 if s == LE else -1.0
-            if s == LE:
-                slack_plus[i] = k
-            k += 1
-    # normalize to b >= 0
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] = -b[neg]
-    for i in np.nonzero(neg)[0]:
-        slack_plus[i] = -1
-        srow = np.nonzero(A[i, ncols:])[0]
-        if srow.size and A[i, ncols + srow[0]] == 1.0:
-            slack_plus[i] = ncols + srow[0]
+    rows = lp._csr()
+    AR = rows @ R  # sums each row's terms in stored order and drops exact zeros
+    r = lp.rhs - rows @ const
+    senses = np.asarray(lp.senses, dtype="<U2")
+    empty = np.diff(AR.indptr) == 0
+    if (empty & ~(row_excess(senses, 0.0, r) <= 1e-12)).any():
+        return None
 
-    c = np.zeros(n)
-    offset = 0.0
-    for j in range(lp.ncols):
-        offset += lp.obj[j] * const_of[j]
-        for std_col, a in cols_of[j]:
-            c[std_col] += lp.obj[j] * a
-    recover = [(const_of[j], cols_of[j]) for j in range(lp.ncols)]
-    return _StandardForm(A, b, c, offset, recover, slack_plus)
+    nbox = int(boxed.sum())
+    box = sparse.csr_matrix((np.ones(nbox), start[boxed], np.arange(nbox + 1)), shape=(nbox, nstd))
+    senses = np.concatenate([senses[~empty], np.full(nbox, LE)])
+    b = np.concatenate([r[~empty], (hi - lo)[boxed]])
+    has_slack = senses != EQ
+    n_slack = int(has_slack.sum())
+    slack = sparse.csr_matrix(
+        (np.where(senses[has_slack] == LE, 1.0, -1.0), np.arange(n_slack),
+         np.concatenate([[0], np.cumsum(has_slack)])), shape=(senses.size, n_slack))
+    A = sparse.hstack([sparse.vstack([AR[~empty], box]), slack], format="csr")
+    flip = b < 0
+    b[flip] = -b[flip]
+    # the slack enters with +1 on a <= row, or on a >= row that the flip negated
+    slack_plus = np.where(has_slack & ((senses == LE) != flip), nstd + np.cumsum(has_slack) - 1, -1)
+    c = np.concatenate([R.T @ lp.obj, np.zeros(n_slack)])
+    return _StandardForm(A, flip, b, c, slack_plus, R, const)
 
 
 class _Core:
@@ -196,51 +168,73 @@ class _Core:
                 on_leave(leaving)
 
 
-def solve_builtin(
-    lp: LPInstance,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-    force: bool = False,
-) -> SolveResult:
-    """Two-phase revised simplex.  Optimal solutions satisfy every row and
+def _blocks(A) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each connected component of A's row-column graph."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    m, n = A.shape
+    coo = A.tocoo()
+    graph = sparse.coo_matrix((np.ones(coo.nnz), (coo.row, m + coo.col)), shape=(m + n, m + n))
+    _, labels = csgraph.connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return [(g[g < m], g[g >= m] - m) for g in groups]
+
+
+def solve_builtin(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None,
+                  size_limit: int = DEFAULT_SIZE_LIMIT, force: bool = False) -> SolveResult:
+    """Two-phase revised simplex, one solve per independent block (max_iter
+    and size_limit apply per block).  Optimal solutions satisfy every row and
     bound within tol; Bland's rule makes the pivot sequence deterministic."""
     t0 = time.perf_counter()
     std = _standardize(lp)
     if std is None:
         return SolveResult(Status.INFEASIBLE, None, None, 0, time.perf_counter() - t0)
-    m, n = std.A.shape
+    blocks = _blocks(std.A)
+    m, n = max(((r.size, c.size) for r, c in blocks), key=sum, default=(0, 0))
     if not force and m + n > size_limit:
-        raise BuiltinSizeLimitError(
-            f"standardized instance has {m} rows + {n} cols > limit {size_limit}; "
-            "use solver='highs', an external solver, or force=True"
-        )
+        raise BuiltinSizeLimitError(f"standardized block has {m} rows + {n} cols > limit "
+                                    f"{size_limit}; use solver='highs', an external solver, "
+                                    "or force=True")
+    z = np.zeros(std.A.shape[1])
+    iterations, statuses = 0, set()
+    for rows, cols in blocks:
+        # slack columns sit in their row's block; renumber them within it
+        sp = std.slack_plus[rows]
+        sp = np.where(sp >= 0, np.searchsorted(cols, sp), -1)
+        status, z_k, its = _solve_block(std.dense(rows, cols), std.b[rows], std.c[cols], sp,
+                                        tol, max_iter)
+        iterations += its
+        statuses.add(status)
+        if z_k is not None:
+            z[cols] = z_k
+    elapsed = time.perf_counter() - t0
+    for status in _STATUS_ORDER:
+        if status in statuses:
+            return SolveResult(status, None, None, iterations, elapsed)
+    x = std.original(z)
+    return SolveResult(Status.OPTIMAL, float(lp.obj @ x), x, iterations, elapsed)
+
+
+def _solve_block(A: np.ndarray, b: np.ndarray, c: np.ndarray, slack_plus: np.ndarray,
+                 tol: float, max_iter: int | None) -> tuple[Status, np.ndarray | None, int]:
+    """Two-phase simplex on one dense block; returns (status, z, iterations)."""
+    m, n = A.shape
     if max_iter is None:
         max_iter = 50 * (m + n)
-
     # initial basis: row slack where it has +1 coefficient, else artificial
-    n_art = 0
-    basis = np.empty(m, dtype=np.int64)
-    art_rows = []
-    for i in range(m):
-        if std.slack_plus[i] >= 0:
-            basis[i] = std.slack_plus[i]
-        else:
-            art_rows.append(i)
-            n_art += 1
-    if n_art:
-        A = np.hstack([std.A, np.zeros((m, n_art))])
-        for k, i in enumerate(art_rows):
-            A[i, n + k] = 1.0
-            basis[i] = n + k
-    else:
-        A = std.A
+    art = np.flatnonzero(slack_plus < 0)
+    basis = slack_plus.copy()
+    basis[art] = n + np.arange(art.size)
+    A = np.hstack([A, np.zeros((m, art.size))])
+    A[art, basis[art]] = 1.0
 
-    core = _Core(A, std.b, tol, max_iter)
+    core = _Core(A, b, tol, max_iter)
     core.set_basis(basis)
     allowed = np.ones(A.shape[1], dtype=bool)
 
-    if n_art:
+    if art.size:
         c1 = np.zeros(A.shape[1])
         c1[n:] = 1.0
 
@@ -250,31 +244,22 @@ def solve_builtin(
 
         status = core.run(c1, allowed, on_leave=drop_artificial)
         if status is Status.ITERATION_LIMIT:
-            return SolveResult(status, None, None, core.iterations, time.perf_counter() - t0)
+            return status, None, core.iterations
         feas_gap = float(c1[core.basis] @ np.maximum(core.xB, 0.0))
-        if status is not Status.OPTIMAL or feas_gap > tol * (1.0 + abs(std.b).max(initial=0.0)) * 100:
-            return SolveResult(
-                Status.INFEASIBLE, None, None, core.iterations, time.perf_counter() - t0
-            )
+        if status is not Status.OPTIMAL or feas_gap > tol * (1.0 + abs(b).max(initial=0.0)) * 100:
+            return Status.INFEASIBLE, None, core.iterations
         keep = _purge_artificials(core, n, allowed)
         if keep is not None:
             core = keep
 
-    c2 = np.concatenate([std.c, np.zeros(core.A.shape[1] - n)]) if core.A.shape[1] > n else std.c
     allowed2 = np.ones(core.A.shape[1], dtype=bool)
     allowed2[n:] = False  # any artificial column still present stays out
-    status = core.run(c2.copy(), allowed2)
-    elapsed = time.perf_counter() - t0
-    if status is Status.OPTIMAL:
-        x_std = np.zeros(core.A.shape[1])
-        x_std[core.basis] = np.maximum(core.xB, 0.0)
-        x = np.empty(lp.ncols)
-        for j, (const, refs) in enumerate(std.recover):
-            x[j] = const + sum(coef * x_std[col] for col, coef in refs)
-        return SolveResult(Status.OPTIMAL, float(lp.obj @ x), x, core.iterations, elapsed)
-    if status is Status.UNBOUNDED:
-        return SolveResult(Status.UNBOUNDED, None, None, core.iterations, elapsed)
-    return SolveResult(Status.ITERATION_LIMIT, None, None, core.iterations, elapsed)
+    status = core.run(np.concatenate([c, np.zeros(core.A.shape[1] - n)]), allowed2)
+    if status is not Status.OPTIMAL:
+        return status, None, core.iterations
+    z = np.zeros(core.A.shape[1])
+    z[core.basis] = np.maximum(core.xB, 0.0)
+    return status, z[:n], core.iterations
 
 
 def _purge_artificials(core: _Core, n: int, allowed: np.ndarray) -> _Core | None:
@@ -286,12 +271,8 @@ def _purge_artificials(core: _Core, n: int, allowed: np.ndarray) -> _Core | None
             continue
         row = core.B_inv[r] @ core.A[:, :n]
         candidates = np.nonzero(np.abs(row) > 1e-7)[0]
-        picked = -1
         in_basis = set(core.basis.tolist())
-        for j in candidates:
-            if j not in in_basis and allowed[j]:
-                picked = int(j)
-                break
+        picked = next((int(j) for j in candidates if j not in in_basis and allowed[j]), -1)
         if picked < 0:
             redundant.append(r)
             continue

@@ -24,8 +24,8 @@ from .builders import (
     swct_value,
 )
 from .complexity import sample_complexity
-from .lp import SolverError
-from .model import LE, GE, EQ, MultistageRobustLP, ScenarioPath
+from .lp import SolverError, row_excess
+from .model import MultistageRobustLP, ScenarioPath
 from .sampling import draw_paths
 
 #: absolute slack on the budget comparison, so solver noise is not a violation
@@ -58,14 +58,10 @@ def certificate_feasible(
 
 
 def _check_first_stage(problem: MultistageRobustLP, x1: np.ndarray, tol: float = 1e-6) -> None:
-    act = problem.A @ x1
-    for i, s in enumerate(problem.senses1):
-        r = problem.h1[i]
-        bad = (s == EQ and abs(act[i] - r) > tol) or (s == LE and act[i] - r > tol) or (
-            s == GE and r - act[i] > tol
-        )
-        if bad:
-            raise ValueError(f"x1 violates first-stage row {i} by {abs(act[i] - r):.2e}")
+    excess = row_excess(problem.senses1, problem.A @ x1, problem.h1)
+    bad = np.flatnonzero(excess > tol)
+    if bad.size:
+        raise ValueError(f"x1 violates first-stage row {bad[0]} by {excess[bad[0]]:.2e}")
 
 
 def empirical_violation(

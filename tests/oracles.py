@@ -649,3 +649,117 @@ def to_scipy(lp: LPInstance):
     A_ub = _mat(r_ub, c_ub, v_ub, len(b_ub))
     A_eq = _mat(r_eq, c_eq, v_eq, len(b_eq))
     return A_ub, np.array(b_ub), A_eq, np.array(b_eq)
+
+
+# ---------------------------------------------------------------------------
+# row-wise reference standardization
+#
+# The builtin simplex's standard form as it was built before it came from
+# the CSR with array operations: per-row dictionaries and per-variable
+# recovery lists, kept as the oracle of the differential tests in
+# test_simplex.py.  A solution z of the standard form maps back to
+# x[j] = const + sum(coef * z[col]) over recover[j] = (const, [(col, coef)]).
+
+
+@dataclass
+class _StandardForm:
+    A: np.ndarray          # (m, n) equality system A x = b, x >= 0
+    b: np.ndarray
+    c: np.ndarray
+    offset: float          # objective constant from bound shifts
+    # per original variable: (constant, [(std col, coefficient), ...])
+    recover: list[tuple[float, list[tuple[int, float]]]]
+    slack_plus: np.ndarray  # per row: slack column with +1 coefficient, or -1
+
+
+def _standardize(lp: LPInstance) -> _StandardForm | None:
+    """Rewrite into equality standard form with nonnegative variables.
+
+    Returns None when a trivially empty row is inconsistent (infeasible).
+    """
+    cols_of: list[list[tuple[int, float]]] = []
+    const_of: list[float] = []
+    ncols = 0
+    extra_rows: list[tuple[int, float]] = []  # (std col, upper) for boxed vars
+    for j in range(lp.ncols):
+        lo, hi = lp.lower[j], lp.upper[j]
+        if np.isinf(lo) and np.isinf(hi):
+            cols_of.append([(ncols, 1.0), (ncols + 1, -1.0)])
+            const_of.append(0.0)
+            ncols += 2
+        elif np.isinf(hi):
+            cols_of.append([(ncols, 1.0)])
+            const_of.append(float(lo))
+            ncols += 1
+        elif np.isinf(lo):
+            cols_of.append([(ncols, -1.0)])
+            const_of.append(float(hi))
+            ncols += 1
+        else:
+            cols_of.append([(ncols, 1.0)])
+            const_of.append(float(lo))
+            extra_rows.append((ncols, float(hi - lo)))
+            ncols += 1
+
+    rows: list[dict[int, float]] = []
+    rhs: list[float] = []
+    senses: list[str] = []
+    for i in range(lp.nrows):
+        cols, vals = lp.row(i)
+        coefs: dict[int, float] = {}
+        shift = 0.0
+        for col, val in zip(cols, vals):
+            shift += val * const_of[col]
+            for std_col, a in cols_of[col]:
+                coefs[std_col] = coefs.get(std_col, 0.0) + val * a
+        coefs = {k: v for k, v in coefs.items() if v != 0.0}
+        r = lp.rhs[i] - shift
+        if not coefs:
+            s = lp.senses[i]
+            ok = (s == LE and r >= -1e-12) or (s == GE and r <= 1e-12) or (
+                s == EQ and abs(r) <= 1e-12
+            )
+            if not ok:
+                return None
+            continue  # trivially satisfied empty row
+        rows.append(coefs)
+        rhs.append(r)
+        senses.append(lp.senses[i])
+    for std_col, width in extra_rows:
+        rows.append({std_col: 1.0})
+        rhs.append(width)
+        senses.append(LE)
+
+    m = len(rows)
+    n_slack = sum(1 for s in senses if s != EQ)
+    n = ncols + n_slack
+    A = np.zeros((m, n))
+    b = np.array(rhs)
+    slack_plus = np.full(m, -1, dtype=np.int64)
+    k = ncols
+    for i, (coefs, s) in enumerate(zip(rows, senses)):
+        for col, val in coefs.items():
+            A[i, col] = val
+        if s != EQ:
+            A[i, k] = 1.0 if s == LE else -1.0
+            if s == LE:
+                slack_plus[i] = k
+            k += 1
+    # normalize to b >= 0
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] = -b[neg]
+    for i in np.nonzero(neg)[0]:
+        slack_plus[i] = -1
+        srow = np.nonzero(A[i, ncols:])[0]
+        if srow.size and A[i, ncols + srow[0]] == 1.0:
+            slack_plus[i] = ncols + srow[0]
+
+    c = np.zeros(n)
+    offset = 0.0
+    for j in range(lp.ncols):
+        offset += lp.obj[j] * const_of[j]
+        for std_col, a in cols_of[j]:
+            c[std_col] += lp.obj[j] * a
+    recover = [(const_of[j], cols_of[j]) for j in range(lp.ncols)]
+    return _StandardForm(A, b, c, offset, recover, slack_plus)

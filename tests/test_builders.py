@@ -267,3 +267,13 @@ def test_scenario_costs_iteration_limit_is_a_solver_error():
     solve, _ = _scripted_solver([Status.ITERATION_LIMIT] * 3)
     with pytest.raises(SolverError, match="iteration_limit"):
         scenario_costs(problem, paths, solve)
+
+
+def test_scenario_costs_builtin_matches_highs():
+    # 300 paths in one stack: 300 independent blocks for the builtin simplex
+    problem = inventory_benchmark(5)
+    paths = draw_paths(problem.uncertainty, 300, [1, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    builtin = scenario_costs(problem, paths, "builtin", x1=x1)
+    highs = scenario_costs(problem, paths, "highs", x1=x1)
+    np.testing.assert_allclose(builtin, highs, rtol=1e-9, atol=0)

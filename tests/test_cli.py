@@ -126,3 +126,15 @@ def test_experiment_reruns_byte_identical(tmp_path):
             a = "\n".join(",".join(ln.split(",")[:-1]) for ln in a.splitlines())
             b = "\n".join(",".join(ln.split(",")[:-1]) for ln in b.splitlines())
         assert a == b
+
+
+@pytest.mark.parametrize("code", [
+    "import swcopt",
+    "from swcopt.cli import main; assert main(['complexity', '--eps', '0.1']) == 0",
+])
+def test_startup_loads_no_scipy(code):
+    # scipy (and the simplex's lazy csgraph import) stays out of start-up
+    check = "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code + check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -44,6 +44,12 @@ def test_certificate_rejects_infeasible_first_stage():
     bad_x1 = np.array([10.0, 0.0, 60.0])  # cost row x_c >= d*x_o violated
     with pytest.raises(ValueError, match="first-stage"):
         certificate_feasible(problem, bad_x1, 1e6, ScenarioPath.of([[60.0]]))
+    # a <= row: the cumulative order bound s_co1 <= 94
+    with pytest.raises(ValueError, match=r"first-stage row 3 by 6\.00e\+00"):
+        certificate_feasible(problem, np.array([60.0, 60.0, 100.0]), 1e6,
+                             ScenarioPath.of([[60.0]]))
+    assert certificate_feasible(problem, np.array([60.0, 60.0, 94.0]), 1e6,
+                                ScenarioPath.of([[60.0]]))
 
 
 def test_toy_certificate_against_enumeration():
@@ -162,3 +168,15 @@ def test_chain_flags_on_hybrid_tail_bound():
     # the certificate bound itself still dominates the relaxed one
     for r in report.rows_for(0.3):
         assert r.swct <= r.swc_value + 1e-6
+
+
+def test_builtin_solver_runs_validation():
+    # the 126 validation paths stack into one LP of 2772 rows, one block per path
+    problem = inventory_benchmark(5)
+    report = run_experiment(problem, [0.3], 1e-3, 1, 0, "builtin", n0=4, L=2)
+    highs = run_experiment(problem, [0.3], 1e-3, 1, 0, "highs", n0=4, L=2).rows[0]
+    assert report.errors == []
+    row = report.rows[0]
+    assert row.error is None and row.violation == highs.violation > 0.0
+    assert row.swc_value == pytest.approx(highs.swc_value, rel=1e-9)
+    assert row.ro_exact == pytest.approx(2207.554108, abs=1e-6)
