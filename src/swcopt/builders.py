@@ -18,13 +18,15 @@ benchmark) or every support is discrete; exact_value checks this.
 """
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import LPInstance, SolveResult, SolverError, Status, get_solver, require_optimal
-from .model import (LE, DiscreteSupport, MultistageRobustLP, ScenarioPath, ScenarioPaths,
+from .model import (EQ, LE, DiscreteSupport, MultistageRobustLP, ScenarioPath, ScenarioPaths,
                     UncertaintySet, validate)
 from .sampling import ScenarioPrefixTree, build_prefix_tree
 
@@ -33,6 +35,11 @@ DEFAULT_LEAF_CAP = 4096
 EXACT_MODES = ("ro", "rws", "rt")
 
 CHUNK_ROWS = 40000  # rows per stacked LP in scenario_costs
+FIRST_BATCH = 32  # paths in scenario_costs' first stack when a basis pool runs
+CERTIFY_BLOCK = 8192  # paths priced on the basis pool at once, bounding memory
+POOL_TOL = 1e-9  # relative tolerance of the basis pool's checks
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,12 @@ def _check_problem(problem: MultistageRobustLP) -> None:
     errs = validate(problem)
     if errs:
         raise ValueError("invalid model: " + "; ".join(errs))
+
+
+def _recourse_is_constant(problem: MultistageRobustLP) -> bool:
+    """Whether T, W and c of every stage 2..H are constant, so that only the
+    right-hand sides h depend on the uncertainty."""
+    return not any(amap.terms for blk in problem.stages for amap in (blk.T, blk.W, blk.c))
 
 
 def _check_widths(problem: MultistageRobustLP, paths: ScenarioPaths) -> None:
@@ -227,41 +240,211 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     """Optimal cost of every path's own LP; +inf where infeasible.
 
     With x1 given, the cost is c1'x1 plus the optimal recourse over stages
-    2..H along the path.  Paths are stacked into block-diagonal LPs of about
-    CHUNK_ROWS rows (the blocks are independent, so per-block optima are
-    read off the stacked solution); a stack that is not solved to
-    optimality falls back to per-path solves.
+    2..H along the path.  Unresolved paths are solved in block-diagonal
+    stacks (the blocks are independent, so per-block optima are read off
+    the stacked solution) of at most about CHUNK_ROWS rows; a stack that is
+    not solved to optimality falls back to per-path solves.
+
+    When T, W and c of stages 2..H are constant, the paths' LPs differ only
+    in their right-hand sides b(xi).  The first stack then holds FIRST_BATCH
+    paths and each later one at most twice as many as the one before.  After
+    each stack the optimal bases of its solved paths that pass a self-check
+    join a pool (_BasisPool).  An unresolved path whose b(xi) keeps a pooled
+    basis primal feasible is optimal on that basis, and gets its cost
+    y'b(xi) without a solve.  Other models solve every path.
+
+    Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
+    paths solved and certified, bases kept and rejected, and the per-path
+    fallback solves by status (also as the record's `scenario_costs` dict).
     """
     paths = ScenarioPaths.of(paths)
     solve = get_solver(solver)
     const = 0.0 if x1 is None else float(problem.c1 @ x1)
     rows_per = sum(problem.dims.m[1:]) + (problem.dims.m[0] if x1 is None else 0)
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
+    pooled = rows_per > 0 and _recourse_is_constant(problem)
+    pool = None
+    fallback = Counter()
     out = np.empty(len(paths))
-    for lo in range(0, len(paths), per_chunk):
-        batch = paths[lo : lo + per_chunk]
-        lp, _, width = _separable_blocks(problem, batch, x1)
+    todo = np.arange(len(paths))
+    size = min(FIRST_BATCH, per_chunk) if pooled else per_chunk
+    solved = 0
+    while todo.size:
+        batch, todo, size = todo[:size], todo[size:], min(2 * size, per_chunk)
+        solved += batch.size
+        X = paths.values[batch]
+        lp, _, width = _separable_blocks(problem, ScenarioPaths(X, paths.widths), x1)
         res = solve(lp)
         if res.status is Status.OPTIMAL:
             # blocks are contiguous and of equal width; a stacked matmul takes one
             # dot product per block, as the BLAS dot of its slices would
-            cost = lp.obj.reshape(-1, 1, width) @ res.x.reshape(-1, width, 1)
-            out[lo : lo + len(batch)] = const + cost.ravel()
+            Z = res.x.reshape(-1, width)
+            cost = (lp.obj.reshape(-1, 1, width) @ Z[:, :, None]).ravel()
         else:
-            out[lo : lo + len(batch)] = [_single_cost(problem, batch[k : k + 1], solve, x1, const)
-                                         for k in range(len(batch))]
+            Z, cost = np.zeros((len(batch), width)), np.empty(len(batch))
+            for k in range(len(batch)):
+                cost[k], single = _single_cost(problem, ScenarioPaths(X[k : k + 1], paths.widths),
+                                               solve, x1)
+                fallback[single.status.value] += 1
+                if single.status is Status.OPTIMAL:
+                    Z[k] = single.x
+        out[batch] = const + cost
+        if pooled and todo.size:
+            pool = pool or _BasisPool(_separable_blocks(problem, paths[:1], x1)[0])
+            first = len(pool.duals)
+            ok = np.isfinite(cost)
+            pool.harvest(Z[ok], _path_rhs(problem, X[ok], x1), cost[ok])
+            todo = _certify(problem, paths, x1, pool, first, todo, const, out)
+    stats = {"paths": len(paths), "solved": solved, "certified": len(paths) - solved,
+             "kept": len(pool.duals) if pool else 0, "rejected": pool.rejected if pool else 0,
+             "fallback": dict(fallback)}
+    log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
+              "%(kept)d bases kept, %(rejected)d rejected, fallback solves %(fallback)s",
+              stats, extra={"scenario_costs": stats})
     return out
 
 
-def _single_cost(problem, path: ScenarioPaths, solve, x1, const) -> float:
+def _single_cost(problem, path: ScenarioPaths, solve, x1) -> tuple[float, SolveResult]:
+    """The optimal cost of one path's LP (without c1'x1; +inf if infeasible,
+    -inf if unbounded) and the solve's result."""
     res = solve(_separable_blocks(problem, path, x1)[0])
     if res.status is Status.OPTIMAL:
-        return const + float(res.objective)
+        return float(res.objective), res
     if res.status is Status.INFEASIBLE:
-        return np.inf
+        return np.inf, res
     if res.status is Status.UNBOUNDED:
-        return -np.inf
+        return -np.inf, res
     raise SolverError(f"scenario solve ended with {res.status.value}")
+
+
+def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, x1: np.ndarray | None) -> np.ndarray:
+    """Right-hand sides of the blocks _separable_blocks stacks for the paths
+    X (K, D), in its row order, without assembling an LP: (K, rows per block).
+    T must be constant; with x1 fixed, T x1 moves to stage 2's side as there."""
+    parts = [] if x1 is not None else [np.broadcast_to(problem.h1, (len(X), problem.dims.m[0]))]
+    for t in range(2, problem.H + 1):
+        blk = problem.stage_block(t)
+        h = blk.h.eval_many(X)
+        parts.append(h - blk.T.base @ x1 if t == 2 and x1 is not None else h)
+    return np.hstack(parts)
+
+
+def _certify(problem, paths, x1, pool: "_BasisPool", first: int, todo: np.ndarray,
+             const: float, out: np.ndarray) -> np.ndarray:
+    """Price the unresolved paths todo on the pool's bases from `first` on,
+    CERTIFY_BLOCK paths at a time; writes their costs to out and returns
+    the paths that are still unresolved."""
+    if first == len(pool.duals):
+        return todo
+    left = []
+    for lo in range(0, todo.size, CERTIFY_BLOCK):
+        idx = todo[lo : lo + CERTIFY_BLOCK]
+        priced, cost = pool.price(_path_rhs(problem, paths.values[idx], x1), first)
+        out[idx[priced]] = const + cost[priced]
+        left.append(idx[~priced])
+    return np.concatenate(left)
+
+
+class _BasisPool:
+    """Optimal bases of the per-path LP  min c'z  s.t.  A z = b,  z_j >= 0 for
+    the bounded j, when A and c are the same on every path and only b
+    varies: the stacked LP's block with one slack per inequality row
+    appended (its columns have lower bound 0 or -inf and no upper bound).
+
+    A basis B with dual-feasible y = c_B B^-1 is optimal for every b with
+    B^-1 b >= 0 on its bounded basic variables (its critical region), with
+    cost y'b.  So a basis read off one solved path prices every path in its
+    region.  A basis joins the pool only if B is square and nonsingular, y
+    is dual feasible, and B^-1 b reproduces its own path's cost; each test
+    uses the relative tolerance POOL_TOL."""
+
+    def __init__(self, lp: LPInstance):
+        m = lp.nrows
+        self.M = np.zeros((m, lp.ncols))
+        np.add.at(self.M, (np.repeat(np.arange(m), np.diff(lp.indptr)), lp.indices), lp.data)
+        senses = np.asarray(lp.senses, dtype="<U2")
+        self.ineq = np.flatnonzero(senses != EQ)
+        self.sign = np.where(senses[self.ineq] == LE, 1.0, -1.0)
+        S = np.zeros((m, self.ineq.size))
+        S[self.ineq, np.arange(self.ineq.size)] = self.sign
+        self.A = np.hstack([self.M, S])
+        self.c = np.concatenate([lp.obj, np.zeros(self.ineq.size)])
+        self.bounded = np.concatenate([np.isfinite(lp.lower), np.ones(self.ineq.size, bool)])
+        self.dual_tol = POOL_TOL * max(1.0, float(np.max(np.abs(self.c))))
+        self.inverses: list[np.ndarray] = []  # rows of B^-1 of the bounded basic variables
+        self.duals: list[np.ndarray] = []     # y = c_B B^-1
+        self.rejected = 0
+
+    def harvest(self, X: np.ndarray, B: np.ndarray, costs: np.ndarray) -> None:
+        """Offer the basis of each solved path (solution row of X, right-hand
+        side row of B, cost), skipping paths that a basis kept in this call
+        already prices."""
+        left = np.arange(len(X))
+        while left.size:
+            i, left = left[0], left[1:]
+            if self._offer(X[i], B[i], costs[i]):
+                left = left[~self.price(B[left], len(self.duals) - 1)[0]]
+            else:
+                self.rejected += 1
+
+    def price(self, B: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """For right-hand sides B (K, m): whether one of the bases from
+        `first` on is primal feasible, and y'b of the first such basis."""
+        tol = POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+        priced = np.zeros(len(B), bool)
+        cost = np.full(len(B), np.nan)
+        for inv, y in zip(self.inverses[first:], self.duals[first:]):
+            idx = np.flatnonzero(~priced)
+            idx = idx[np.all(B[idx] @ inv.T >= -tol[idx, None], axis=1)]
+            priced[idx] = True
+            cost[idx] = B[idx] @ y
+        return priced, cost
+
+    def _offer(self, x: np.ndarray, b: np.ndarray, cost: float) -> bool:
+        # the vertex's nonzero variables, and every free one, come first; a
+        # degenerate vertex has fewer than m of them and needs completing
+        z = np.concatenate([x, self.sign * (b - self.M @ x)[self.ineq]])
+        support = ~self.bounded | (z > POOL_TOL * max(1.0, float(np.max(np.abs(z)))))
+        basis = self._basis(np.flatnonzero(support), np.flatnonzero(~support))
+        if basis is None:
+            return False
+        Bm = self.A[:, basis]
+        if np.linalg.cond(Bm) > 1.0 / POOL_TOL:
+            return False
+        Binv = np.linalg.inv(Bm)
+        y = self.c[basis] @ Binv
+        d = self.c - y @ self.A
+        d[basis] = 0.0
+        if np.any(np.where(self.bounded, d, -np.abs(d)) < -self.dual_tol):
+            return False
+        inv = Binv[self.bounded[basis]]
+        if np.any(inv @ b < -POOL_TOL * max(1.0, float(np.max(np.abs(b))))):
+            return False
+        if abs(y @ b - cost) > POOL_TOL * max(1.0, abs(cost)):
+            return False
+        self.inverses.append(inv)
+        self.duals.append(y)
+        return True
+
+    def _basis(self, support: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
+        """m columns of A: an independent subset of the support, picked by QR
+        with column pivoting, then completed from the rest by the same
+        pivoting on their part orthogonal to the columns already picked."""
+        from scipy.linalg import qr
+
+        m = self.A.shape[0]
+        chosen, Q = support[:0], np.zeros((m, 0))
+        if support.size:
+            Q, R, piv = qr(self.A[:, support], mode="economic", pivoting=True)
+            d = np.abs(np.diag(R))
+            r = int(np.count_nonzero(d > POOL_TOL * d[0]))
+            chosen, Q = support[piv[:r]], Q[:, :r]
+        need = m - chosen.size
+        if need and rest.size >= need:
+            P = self.A[:, rest] - Q @ (Q.T @ self.A[:, rest])
+            _, R, piv = qr(P, mode="economic", pivoting=True)
+            chosen = np.concatenate([chosen, rest[piv[:need]]])
+        return chosen if chosen.size == m else None
 
 
 def sws_value(problem: MultistageRobustLP, paths, solver="highs") -> tuple[float, int]:
@@ -351,8 +534,8 @@ def exact_value(
     mode = mode.lower()
     if mode not in EXACT_MODES:
         raise ValueError(f"mode must be one of {EXACT_MODES}, got {mode!r}")
-    if not all(isinstance(s, DiscreteSupport) for s in problem.uncertainty.stages) and any(
-            amap.terms for blk in problem.stages for amap in (blk.T, blk.W, blk.c)):
+    if not (_recourse_is_constant(problem)
+            or all(isinstance(s, DiscreteSupport) for s in problem.uncertainty.stages)):
         raise ValueError("exact references need worst cases at support vertices: T, W and c "
                          "must be constant unless every support is discrete")
     paths = vertex_paths(problem.uncertainty, leaf_cap)

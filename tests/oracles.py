@@ -12,8 +12,9 @@ import itertools
 
 import numpy as np
 
-from swcopt.builders import _check_problem
-from swcopt.lp import LPBuilder, LPInstance, get_solver
+from swcopt.builders import CHUNK_ROWS, _check_problem
+from swcopt.builders import _separable_blocks as _stacked_blocks
+from swcopt.lp import LPBuilder, LPInstance, SolverError, Status, get_solver
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from swcopt.model import (
     DiscreteSupport,
     MultistageRobustLP,
     ScenarioPath,
+    ScenarioPaths,
     UncertaintySet,
 )
 
@@ -763,3 +765,54 @@ def _standardize(lp: LPInstance) -> _StandardForm | None:
             c[std_col] += lp.obj[j] * a
     recover = [(const_of[j], cols_of[j]) for j in range(lp.ncols)]
     return _StandardForm(A, b, c, offset, recover, slack_plus)
+
+
+# ---------------------------------------------------------------------------
+# per-path recourse costs from stacked solves only
+#
+# builders.scenario_costs as it was before the certified basis pool: every
+# path is solved, in block-diagonal stacks of about CHUNK_ROWS rows, with a
+# per-path fallback after a stack that is not solved to optimality.  Kept as
+# the oracle of the differential tests in test_pool.py.
+
+
+def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
+                   x1: np.ndarray | None = None) -> np.ndarray:
+    """Optimal cost of every path's own LP; +inf where infeasible.
+
+    With x1 given, the cost is c1'x1 plus the optimal recourse over stages
+    2..H along the path.  Paths are stacked into block-diagonal LPs of about
+    CHUNK_ROWS rows (the blocks are independent, so per-block optima are
+    read off the stacked solution); a stack that is not solved to
+    optimality falls back to per-path solves.
+    """
+    paths = ScenarioPaths.of(paths)
+    solve = get_solver(solver)
+    const = 0.0 if x1 is None else float(problem.c1 @ x1)
+    rows_per = sum(problem.dims.m[1:]) + (problem.dims.m[0] if x1 is None else 0)
+    per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
+    out = np.empty(len(paths))
+    for lo in range(0, len(paths), per_chunk):
+        batch = paths[lo : lo + per_chunk]
+        lp, _, width = _stacked_blocks(problem, batch, x1)
+        res = solve(lp)
+        if res.status is Status.OPTIMAL:
+            # blocks are contiguous and of equal width; a stacked matmul takes one
+            # dot product per block, as the BLAS dot of its slices would
+            cost = lp.obj.reshape(-1, 1, width) @ res.x.reshape(-1, width, 1)
+            out[lo : lo + len(batch)] = const + cost.ravel()
+        else:
+            out[lo : lo + len(batch)] = [_single_cost(problem, batch[k : k + 1], solve, x1, const)
+                                         for k in range(len(batch))]
+    return out
+
+
+def _single_cost(problem, path: ScenarioPaths, solve, x1, const) -> float:
+    res = solve(_stacked_blocks(problem, path, x1)[0])
+    if res.status is Status.OPTIMAL:
+        return const + float(res.objective)
+    if res.status is Status.INFEASIBLE:
+        return np.inf
+    if res.status is Status.UNBOUNDED:
+        return -np.inf
+    raise SolverError(f"scenario solve ended with {res.status.value}")

@@ -1,0 +1,226 @@
+"""Differential tests: scenario_costs with its certified basis pool against
+the stacked-solve oracle (oracles.scenario_costs), which solves every path.
+
+The gate everywhere: identical violation indicators (cost > gamma +
+VIOLATION_TOL) and costs within 1e-9 relative, with the same infinite
+costs for infeasible and unbounded paths.
+"""
+import logging
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from swcopt.builders import scenario_costs, solve_swc_paths, vertex_paths
+from swcopt.complexity import sample_complexity
+from swcopt.inventory import BENCHMARK_N0, inventory_benchmark
+from swcopt.lp import SolveResult, Status
+from swcopt.model import (EQ, GE, LE, AffineMap, BoxSupport, DiscreteSupport, MultistageRobustLP,
+                          ScenarioPaths, StageBlock, StageDims, UncertaintySet)
+from swcopt.sampling import draw_paths
+from swcopt.validation import VIOLATION_TOL
+
+
+def assert_matches_oracle(costs, oracle, gamma):
+    assert costs.shape == oracle.shape
+    np.testing.assert_array_equal(costs > gamma + VIOLATION_TOL, oracle > gamma + VIOLATION_TOL)
+    inf = np.isinf(oracle)
+    np.testing.assert_array_equal(costs[inf], oracle[inf])
+    err = np.abs(costs[~inf] - oracle[~inf]) / np.maximum(1.0, np.abs(oracle[~inf]))
+    assert np.all(err <= 1e-9), float(np.max(err))
+
+
+def pool_record(caplog):
+    records = [r for r in caplog.records if r.name == "swcopt.builders"
+               and hasattr(r, "scenario_costs")]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    return records[0].scenario_costs
+
+
+def constant_recourse_problem(rng, H, free, degenerate, discrete):
+    """Random model whose T, W and c are constant and whose h is affine in
+    the uncertainty.  Every row holds at a reference decision x_bar for the
+    nominal uncertainty; rows with a zero margin are tight there, and rows
+    with a zero right-hand side and no uncertainty make degenerate
+    vertices.  Costs are nonnegative on nonnegative variables and zero on
+    free ones, so no path is unbounded."""
+    n = [int(rng.integers(1, 4)) for _ in range(H)]
+    m = [int(rng.integers(1, 4)) for _ in range(H)]
+    d = [int(rng.integers(1, 3)) for _ in range(H - 1)]
+    nonneg = [tuple(bool(v) for v in ~(free & (rng.random(nt) < 0.4))) for nt in n]
+    x_bar = [np.where(sign, rng.integers(0, 3, nt), rng.integers(-2, 3, nt)).astype(float)
+             for nt, sign in zip(n, nonneg)]
+    if discrete:
+        supports = [DiscreteSupport(tuple(rng.integers(0, 4, (3, k)).astype(float)))
+                    for k in d]
+    else:
+        supports = [BoxSupport(rng.uniform(0.5, 2.0, k), 0.5) for k in d]
+    nominal = np.concatenate([s.center() for s in supports])
+
+    def rows(mt, act, revealed):
+        senses = tuple(rng.choice([LE, EQ, GE], mt).tolist())
+        margin = rng.integers(0, 3, mt) * np.where(np.array(senses) == EQ, 0, 1)
+        if degenerate:
+            margin[rng.random(mt) < 0.5] = 0
+        margin = np.where(np.array(senses) == LE, margin, -margin)
+        terms = [(k, rng.uniform(-1.0, 1.0, mt) * (rng.random(mt) < 0.5))
+                 for k in range(revealed)]
+        shift = sum(arr * nominal[k] for k, arr in terms)
+        base = act + margin - shift
+        if degenerate:  # constant zero rows
+            zero = (rng.random(mt) < 0.3) & (act == 0)
+            base[zero] = 0.0
+            terms = [(k, np.where(zero, 0.0, arr)) for k, arr in terms]
+        return senses, AffineMap(base, tuple(terms))
+
+    A = rng.integers(-1, 3, (m[0], n[0])).astype(float)
+    senses1, h1 = rows(m[0], A @ x_bar[0], 0)
+    blocks = []
+    for t in range(2, H + 1):
+        T = rng.integers(-1, 2, (m[t - 1], n[t - 2])).astype(float)
+        W = rng.integers(-1, 3, (m[t - 1], n[t - 1])).astype(float)
+        senses, h = rows(m[t - 1], T @ x_bar[t - 2] + W @ x_bar[t - 1], sum(d[: t - 1]))
+        c = np.where(nonneg[t - 1], rng.integers(0, 4, n[t - 1]), 0).astype(float)
+        blocks.append(StageBlock(AffineMap(T), AffineMap(W), h, AffineMap(c), senses))
+    c1 = np.where(nonneg[0], rng.integers(0, 4, n[0]), 0).astype(float)
+    problem = MultistageRobustLP(StageDims(H, tuple(n), tuple(m)), A, h1.base, c1, senses1,
+                                 tuple(blocks), UncertaintySet(tuple(supports)), tuple(nonneg))
+    return problem, x_bar[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    N=st.integers(33, 120),
+    free=st.booleans(),
+    degenerate=st.booleans(),
+    discrete=st.booleans(),
+    fixed=st.sampled_from(["none", "reference", "perturbed"]),
+)
+def test_random_constant_recourse_models_match_oracle(seed, H, N, free, degenerate, discrete,
+                                                      fixed):
+    rng = np.random.default_rng(seed)
+    problem, x_bar = constant_recourse_problem(rng, H, free, degenerate, discrete)
+    # a perturbed first stage leaves some paths infeasible
+    x1 = {"none": None, "reference": x_bar,
+          "perturbed": x_bar + rng.integers(-2, 3, x_bar.size)}[fixed]
+    paths = draw_paths(problem.uncertainty, N, [seed, 1])
+    oracle = oracles.scenario_costs(problem, paths, x1=x1)
+    costs = scenario_costs(problem, paths, x1=x1)
+    finite = oracle[np.isfinite(oracle)]
+    gamma = float(np.median(finite)) if finite.size else 0.0
+    assert_matches_oracle(costs, oracle, gamma)
+
+
+def test_uncertain_recourse_matrix_gets_no_pool(caplog):
+    problem = inventory_benchmark(3)
+    blk = problem.stage_block(2)
+    W = AffineMap(blk.W.base, ((0, np.full(blk.W.shape, 0.001)),))
+    uncertain = MultistageRobustLP(problem.dims, problem.A, problem.h1, problem.c1,
+                                   problem.senses1,
+                                   (StageBlock(blk.T, W, blk.h, blk.c, blk.senses),
+                                    *problem.stages[1:]),
+                                   problem.uncertainty, problem.nonneg)
+    paths = draw_paths(uncertain.uncertainty, 100, [2, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(uncertain, paths, x1=x1)
+    stats = pool_record(caplog)
+    assert stats["solved"] == 100 and stats["certified"] == 0 and stats["kept"] == 0
+    # without a pool the loop is the oracle's chunked solve
+    np.testing.assert_array_equal(costs, oracles.scenario_costs(uncertain, paths, x1=x1))
+
+
+@pytest.fixture(scope="module", params=["continuous", "integer"])
+def fixed_solutions(request):
+    """The benchmark's two fixed solutions: SwC at N = 63 from training
+    stream [63, 4], and the RO vertex-tree solution."""
+    problem = inventory_benchmark(5, request.param)
+    train = draw_paths(problem.uncertainty, sample_complexity(0.3, 0.001, BENCHMARK_N0), [63, 4])
+    swc = solve_swc_paths(problem, train)
+    ro = solve_swc_paths(problem, vertex_paths(problem.uncertainty))
+    return problem, {"swc63": swc[1:3], "ro": ro[1:3]}
+
+
+@pytest.mark.parametrize("solution", ["swc63", "ro"])
+@pytest.mark.parametrize("seed", [[5, 1], [7001, 1]])
+def test_benchmark_solutions_match_oracle(fixed_solutions, solution, seed, caplog):
+    problem, solutions = fixed_solutions
+    x1, gamma = solutions[solution]
+    paths = draw_paths(problem.uncertainty, 2000, seed)
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(problem, paths, x1=x1)
+    assert_matches_oracle(costs, oracles.scenario_costs(problem, paths, x1=x1), gamma)
+    stats = pool_record(caplog)
+    assert stats["certified"] > 1800 and stats["rejected"] == 0
+
+
+def test_wait_and_see_costs_match_oracle():
+    # x1 free: the whole deterministic LP, first-stage rows included
+    problem = inventory_benchmark(5, "integer")
+    paths = draw_paths(problem.uncertainty, 300, [3, 0])
+    oracle = oracles.scenario_costs(problem, paths)
+    assert_matches_oracle(scenario_costs(problem, paths), oracle, float(np.median(oracle)))
+
+
+def infeasible_tail_problem():
+    """Two stages: x1 >= 0 at unit cost, then y >= xi - x1 and y <= xi at
+    unit cost; a path with xi < 0 has no recourse."""
+    support = DiscreteSupport(tuple(np.array([v]) for v in (-1.0, 1.0, 2.0, 3.0)))
+    stage = StageBlock(T=AffineMap(np.array([[1.0], [0.0]])), W=AffineMap(np.array([[1.0], [1.0]])),
+                       h=AffineMap(np.zeros(2), ((0, np.ones(2)),)), c=AffineMap(np.ones(1)),
+                       senses=(GE, LE))
+    return MultistageRobustLP(StageDims(2, (1, 1), (1, 2)), np.ones((1, 1)), np.zeros(1),
+                              np.ones(1), (GE,), (stage,), UncertaintySet((support,)))
+
+
+def test_debug_record_counts_an_infeasible_path(caplog):
+    problem = infeasible_tail_problem()
+    xi = np.array([1.0, 2.0, 3.0] * 13 + [-1.0])[:, None]  # 39 feasible paths, then one not
+    paths = ScenarioPaths(xi, (1,))
+    x1 = np.array([0.5])
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(problem, paths, x1=x1)
+    np.testing.assert_array_equal(costs[:-1], 0.5 + np.maximum(0.0, xi[:-1, 0] - 0.5))
+    assert costs[-1] == np.inf
+    stats = pool_record(caplog)
+    # the first stack of 32 feeds the pool, which prices the other 7 feasible paths;
+    # the infeasible path is solved alone and then once more by the fallback
+    assert stats == {"paths": 40, "solved": 33, "certified": 7, "kept": stats["kept"],
+                     "rejected": 0, "fallback": {"infeasible": 1}}
+    assert stats["kept"] >= 1
+    assert "40 paths, 33 solved, 7 certified" in caplog.records[-1].getMessage()
+
+
+def test_fallback_solves_feed_the_pool(caplog):
+    # every tenth path is infeasible, so every stack falls back to per-path
+    # solves; their optimal solutions still give the pool its basis
+    problem = infeasible_tail_problem()
+    xi = np.resize([-1.0, 1.0, 2.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0], 2000)
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(problem, ScenarioPaths(xi[:, None], (1,)), x1=np.array([0.5]))
+    np.testing.assert_array_equal(costs, np.where(xi < 0, np.inf, xi))
+    stats = pool_record(caplog)
+    # the first stack's 28 feasible paths are solved one by one and price the
+    # other 1772; only the 200 infeasible paths are solved after that
+    assert stats["certified"] == 1772 and stats["solved"] == 228
+    assert stats["fallback"] == {"optimal": 28, "infeasible": 200}
+
+
+def test_zero_solutions_fail_the_self_check(caplog):
+    # a solver that reports x = 0 as optimal: no basis reproduces a zero cost
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 40, seed=[1, 0])
+    x1 = np.array([50.0, 60.0, 0.0])
+
+    def solve(lp):
+        return SolveResult(Status.OPTIMAL, 0.0, np.zeros(lp.ncols))
+
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(problem, paths, solve, x1=x1)
+    np.testing.assert_array_equal(costs, float(problem.c1 @ x1))
+    stats = pool_record(caplog)
+    assert stats["kept"] == 0 and stats["rejected"] == 32 and stats["solved"] == 40

@@ -171,7 +171,7 @@ def test_chain_flags_on_hybrid_tail_bound():
 
 
 def test_builtin_solver_runs_validation():
-    # the 126 validation paths stack into one LP of 2772 rows, one block per path
+    # the 126 validation paths go to stacked LPs of one block per solved path
     problem = inventory_benchmark(5)
     report = run_experiment(problem, [0.3], 1e-3, 1, 0, "builtin", n0=4, L=2)
     highs = run_experiment(problem, [0.3], 1e-3, 1, 0, "highs", n0=4, L=2).rows[0]
