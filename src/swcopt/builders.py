@@ -4,6 +4,8 @@ Turns a multistage robust model plus scenario data into concrete LPs:
 
 * build_swc          -- the sampled problem with per-prefix certificates and
                         a single worst-case budget row per distinct path;
+* solve_swc_paths    -- build_swc solved over sampled paths, by generation
+                        over leaves when no prefix is shared;
 * build_deterministic-- one fully anticipative path;
 * sws_value          -- sampled wait-and-see bound (max over per-path minima);
 * swct_value         -- sampled bound with certificates over first-stage
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -38,6 +41,9 @@ CHUNK_ROWS = 40000  # rows per stacked LP in scenario_costs
 FIRST_BATCH = 32  # paths in scenario_costs' first stack when a basis pool runs
 CERTIFY_BLOCK = 8192  # paths priced on the basis pool at once, bounding memory
 POOL_TOL = 1e-9  # relative tolerance of the basis pool's checks
+FIRST_LEAVES = 8  # leaves in solve_swc_paths' first master
+ADD_LEAVES = 20  # most violated leaves added to the working set per round
+LEAF_TOL = 1e-9  # absolute budget excess at which a leaf counts as violated
 
 log = logging.getLogger(__name__)
 
@@ -257,8 +263,16 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     paths solved and certified, bases kept and rejected, and the per-path
     fallback solves by status (also as the record's `scenario_costs` dict).
     """
-    paths = ScenarioPaths.of(paths)
-    solve = get_solver(solver)
+    return _path_costs(problem, ScenarioPaths.of(paths), get_solver(solver), x1)[0]
+
+
+def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
+                x1: np.ndarray | None,
+                recourse: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """scenario_costs' loop.  With recourse, also returns each path's
+    optimal solution of its LP, laid out as one _separable_blocks block: the
+    stack's solution for a solved path, z_B = B^-1 b(xi) of its pooled basis
+    for a priced one, and zeros where the path has no optimal solution."""
     const = 0.0 if x1 is None else float(problem.c1 @ x1)
     rows_per = sum(problem.dims.m[1:]) + (problem.dims.m[0] if x1 is None else 0)
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
@@ -266,6 +280,7 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     pool = None
     fallback = Counter()
     out = np.empty(len(paths))
+    sol = np.zeros((len(paths), sum(problem.dims.n[0 if x1 is None else 1:]))) if recourse else None
     todo = np.arange(len(paths))
     size = min(FIRST_BATCH, per_chunk) if pooled else per_chunk
     solved = 0
@@ -289,19 +304,21 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
                 if single.status is Status.OPTIMAL:
                     Z[k] = single.x
         out[batch] = const + cost
+        if recourse:
+            sol[batch] = Z
         if pooled and todo.size:
             pool = pool or _BasisPool(_separable_blocks(problem, paths[:1], x1)[0])
             first = len(pool.duals)
             ok = np.isfinite(cost)
             pool.harvest(Z[ok], _path_rhs(problem, X[ok], x1), cost[ok])
-            todo = _certify(problem, paths, x1, pool, first, todo, const, out)
+            todo = _certify(problem, paths, x1, pool, first, todo, const, out, sol)
     stats = {"paths": len(paths), "solved": solved, "certified": len(paths) - solved,
              "kept": len(pool.duals) if pool else 0, "rejected": pool.rejected if pool else 0,
              "fallback": dict(fallback)}
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
               "%(kept)d bases kept, %(rejected)d rejected, fallback solves %(fallback)s",
               stats, extra={"scenario_costs": stats})
-    return out
+    return out, sol
 
 
 def _single_cost(problem, path: ScenarioPaths, solve, x1) -> tuple[float, SolveResult]:
@@ -330,17 +347,22 @@ def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, x1: np.ndarray | None)
 
 
 def _certify(problem, paths, x1, pool: "_BasisPool", first: int, todo: np.ndarray,
-             const: float, out: np.ndarray) -> np.ndarray:
+             const: float, out: np.ndarray, sol: np.ndarray | None) -> np.ndarray:
     """Price the unresolved paths todo on the pool's bases from `first` on,
-    CERTIFY_BLOCK paths at a time; writes their costs to out and returns
-    the paths that are still unresolved."""
+    CERTIFY_BLOCK paths at a time; writes their costs to out (and, unless sol
+    is None, their basic solutions to sol) and returns the paths that are
+    still unresolved."""
     if first == len(pool.duals):
         return todo
     left = []
     for lo in range(0, todo.size, CERTIFY_BLOCK):
         idx = todo[lo : lo + CERTIFY_BLOCK]
-        priced, cost = pool.price(_path_rhs(problem, paths.values[idx], x1), first)
+        B = _path_rhs(problem, paths.values[idx], x1)
+        which, cost = pool.price(B, first)
+        priced = which >= 0
         out[idx[priced]] = const + cost[priced]
+        if sol is not None:
+            sol[idx[priced]] = pool.solutions(B[priced], which[priced])
         left.append(idx[~priced])
     return np.concatenate(left)
 
@@ -353,10 +375,11 @@ class _BasisPool:
 
     A basis B with dual-feasible y = c_B B^-1 is optimal for every b with
     B^-1 b >= 0 on its bounded basic variables (its critical region), with
-    cost y'b.  So a basis read off one solved path prices every path in its
-    region.  A basis joins the pool only if B is square and nonsingular, y
-    is dual feasible, and B^-1 b reproduces its own path's cost; each test
-    uses the relative tolerance POOL_TOL."""
+    cost y'b and basic solution z_B = B^-1 b.  So a basis read off one
+    solved path prices every path in its region.  A basis joins the pool
+    only if B is square and nonsingular, y is dual feasible, and B^-1 b
+    reproduces its own path's cost; each test uses the relative tolerance
+    POOL_TOL."""
 
     def __init__(self, lp: LPInstance):
         m = lp.nrows
@@ -371,8 +394,10 @@ class _BasisPool:
         self.c = np.concatenate([lp.obj, np.zeros(self.ineq.size)])
         self.bounded = np.concatenate([np.isfinite(lp.lower), np.ones(self.ineq.size, bool)])
         self.dual_tol = POOL_TOL * max(1.0, float(np.max(np.abs(self.c))))
+        self.n = lp.ncols
         self.inverses: list[np.ndarray] = []  # rows of B^-1 of the bounded basic variables
         self.duals: list[np.ndarray] = []     # y = c_B B^-1
+        self.primal: list[tuple[np.ndarray, np.ndarray]] = []  # LP basic columns, their B^-1 rows
         self.rejected = 0
 
     def harvest(self, X: np.ndarray, B: np.ndarray, costs: np.ndarray) -> None:
@@ -383,22 +408,32 @@ class _BasisPool:
         while left.size:
             i, left = left[0], left[1:]
             if self._offer(X[i], B[i], costs[i]):
-                left = left[~self.price(B[left], len(self.duals) - 1)[0]]
+                left = left[self.price(B[left], len(self.duals) - 1)[0] < 0]
             else:
                 self.rejected += 1
 
     def price(self, B: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-        """For right-hand sides B (K, m): whether one of the bases from
-        `first` on is primal feasible, and y'b of the first such basis."""
+        """For right-hand sides B (K, m): the first of the bases from `first`
+        on that is primal feasible (-1 where none is), and its y'b."""
         tol = POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
-        priced = np.zeros(len(B), bool)
+        which = np.full(len(B), -1)
         cost = np.full(len(B), np.nan)
-        for inv, y in zip(self.inverses[first:], self.duals[first:]):
-            idx = np.flatnonzero(~priced)
-            idx = idx[np.all(B[idx] @ inv.T >= -tol[idx, None], axis=1)]
-            priced[idx] = True
-            cost[idx] = B[idx] @ y
-        return priced, cost
+        for k in range(first, len(self.duals)):
+            idx = np.flatnonzero(which < 0)
+            idx = idx[np.all(B[idx] @ self.inverses[k].T >= -tol[idx, None], axis=1)]
+            which[idx] = k
+            cost[idx] = B[idx] @ self.duals[k]
+        return which, cost
+
+    def solutions(self, B: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """The basic solutions of right-hand sides B (K, m) on the bases
+        `which`, over the LP's columns (slacks dropped): (K, ncols)."""
+        Z = np.zeros((len(B), self.n))
+        for k in np.unique(which).tolist():
+            idx = np.flatnonzero(which == k)
+            cols, rows = self.primal[k]
+            Z[np.ix_(idx, cols)] = B[idx] @ rows.T
+        return Z
 
     def _offer(self, x: np.ndarray, b: np.ndarray, cost: float) -> bool:
         # the vertex's nonzero variables, and every free one, come first; a
@@ -424,6 +459,7 @@ class _BasisPool:
             return False
         self.inverses.append(inv)
         self.duals.append(y)
+        self.primal.append((basis[basis < self.n], Binv[basis < self.n]))
         return True
 
     def _basis(self, support: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
@@ -550,10 +586,71 @@ def exact_value(
 
 def solve_swc_paths(problem: MultistageRobustLP, paths,
                     solver="highs") -> tuple[float, np.ndarray, float, SolveResult]:
-    """Convenience: build the prefix tree and solve; returns
-    (value, x1, gamma, raw result)."""
+    """Solve the SwC LP over the paths' prefix tree; returns (value, x1,
+    gamma, result), result.x in build_swc's column layout for the whole tree.
+
+    When every stage-1 node has one leaf (no shared prefix), each leaf's
+    budget row constrains (x1, gamma) through its own recourse alone, so the
+    LP is solved by generation over leaves: a master build_swc LP over a
+    working set of leaves (the first FIRST_LEAVES at the start), then every
+    leaf priced at the master's x1 by scenario_costs' loop, adding the
+    ADD_LEAVES most violated leaves outside the set (cost above gamma by more
+    than LEAF_TOL) until none is.  The master is a relaxation whose (x1,
+    gamma) ends feasible for every leaf, so its value is the LP's optimum.
+    result.x then holds each leaf's recourse from the last pricing pass;
+    result.iterations sums the master solves and result.time_s is the whole
+    loop.  A tree with shared prefixes, or a leaf with unbounded recourse at
+    the master's x1, gets one solve of the whole LP.
+
+    Each call logs one DEBUG record on the "swcopt.builders" logger: the
+    method, rounds, working-set leaves, the last master's rows and columns
+    and the summed master iterations (also as the record's `solve_swc` dict).
+    """
     tree = build_prefix_tree(paths)
-    lp, vmap = build_swc(problem, tree)
-    res = require_optimal(get_solver(solver)(lp), "swc")
-    x1 = res.x[vmap.x1.start : vmap.x1.stop]
-    return float(res.objective), x1, float(res.x[vmap.gamma]), res
+    solve = get_solver(solver)
+    K = tree.node_counts()
+    found = _generate(problem, tree, solve) if K[0] == K[-1] else None
+    if found is None:
+        lp, _ = build_swc(problem, tree)
+        res = require_optimal(solve(lp), "swc")
+        stats = {"method": "monolithic", "rounds": 1, "leaves": K[-1], "rows": lp.nrows,
+                 "cols": lp.ncols, "iterations": res.iterations}
+    else:
+        res, stats = found
+    log.debug("solve_swc_paths: %(method)s, %(rounds)d rounds, %(leaves)d leaves, "
+              "master %(rows)d x %(cols)d, %(iterations)d iterations",
+              stats, extra={"solve_swc": stats})
+    n1 = problem.dims.n[0]
+    return float(res.objective), res.x[1 : 1 + n1], float(res.x[0]), res
+
+
+def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
+              solve) -> tuple[SolveResult, dict] | None:
+    """solve_swc_paths' generation over the leaves of a tree without shared
+    prefixes; None when a leaf's recourse is unbounded at the master's x1
+    (its budget row is slack, but no recourse vector comes from pricing)."""
+    t0 = time.perf_counter()
+    leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
+    work = np.arange(min(FIRST_LEAVES, len(leaves)))
+    rounds = iterations = 0
+    while True:
+        lp, vmap = build_swc(problem, build_prefix_tree(ScenarioPaths(leaves.values[work],
+                                                                      leaves.widths)))
+        master = require_optimal(solve(lp), "swc master")
+        rounds, iterations = rounds + 1, iterations + master.iterations
+        x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])
+        cost, Z = _path_costs(problem, leaves, solve, x1, recourse=True)
+        if np.any(cost == -np.inf):
+            return None
+        excess = cost - gamma
+        excess[work] = 0.0
+        new = np.flatnonzero(excess > LEAF_TOL)
+        if not new.size:
+            break
+        work = np.concatenate([work, new[np.argsort(-excess[new], kind="stable")[:ADD_LEAVES]]])
+    # build_swc's layout: gamma, x1, then stage by stage one block per leaf
+    cut = np.cumsum([0, *problem.dims.n[1:]])
+    x = np.concatenate([[gamma], x1, *(Z[:, a:b].ravel() for a, b in zip(cut[:-1], cut[1:]))])
+    res = SolveResult(Status.OPTIMAL, gamma, x, iterations, time.perf_counter() - t0)
+    return res, {"method": "generated", "rounds": rounds, "leaves": len(work), "rows": lp.nrows,
+                 "cols": lp.ncols, "iterations": iterations}
