@@ -4,15 +4,17 @@ Turns a multistage robust model plus scenario data into concrete LPs:
 
 * build_swc          -- the sampled problem with per-prefix certificates and
                         a single worst-case budget row per distinct path;
-* solve_swc_paths    -- build_swc solved over sampled paths, by generation
-                        over leaves when no prefix is shared;
+* solve_swc_paths    -- build_swc solved over sampled paths;
 * build_deterministic-- one fully anticipative path;
 * sws_value          -- sampled wait-and-see bound (max over per-path minima);
 * swct_value         -- sampled bound with certificates over first-stage
-                        draws and a deterministic tail;
+                        draws and the nominal tail;
 * exact_value        -- vertex-tree references for the full worst case (RO
                         mode), the anticipative worst case (RWS), and the
                         relaxation that reveals everything after stage one (RT).
+
+All four certificate LPs (SwC, SwCT, RO, RT) are solved by _solve_grouping,
+which picks generation over leaves or one solve of the whole LP.
 
 Vertex-based exact references need worst cases at support vertices: true
 when T, W and c are constant (uncertainty only in h, as in the shipped
@@ -41,7 +43,7 @@ CHUNK_ROWS = 40000  # rows per stacked LP in scenario_costs
 FIRST_BATCH = 32  # paths in scenario_costs' first stack when a basis pool runs
 CERTIFY_BLOCK = 8192  # paths priced on the basis pool at once, bounding memory
 POOL_TOL = 1e-9  # relative tolerance of the basis pool's checks
-FIRST_LEAVES = 8  # leaves in solve_swc_paths' first master
+FIRST_LEAVES = 8  # leaves in _solve_grouping's first master
 ADD_LEAVES = 20  # most violated leaves added to the working set per round
 LEAF_TOL = 1e-9  # absolute budget excess at which a leaf counts as violated
 
@@ -497,35 +499,19 @@ def sws_value(problem: MultistageRobustLP, paths, solver="highs") -> tuple[float
     return float(costs[worst]), worst
 
 
-def hybrid_paths(uncertainty: UncertaintySet, xi1_samples, tail=None) -> ScenarioPaths:
-    """Paths (xi1_i, tail) with a deterministic tail for stages 2..H-1
-    (defaults to the per-stage nominal points)."""
-    if tail is None:
-        tail = [uncertainty.nominal(t) for t in range(2, uncertainty.n_stages + 1)]
-    tail = [np.atleast_1d(np.asarray(v, dtype=float)) for v in tail]
-    if len(tail) != max(0, uncertainty.n_stages - 1):
-        raise ValueError(f"tail covers {len(tail)} stages, expected {uncertainty.n_stages - 1}")
+def hybrid_paths(uncertainty: UncertaintySet, xi1_samples) -> ScenarioPaths:
+    """Paths (xi1_i, nominal tail): each first-stage draw followed by the
+    per-stage nominal points of stages 2..H-1."""
+    tail = [uncertainty.nominal(t) for t in range(2, uncertainty.n_stages + 1)]
     xi1 = np.asarray(xi1_samples, dtype=float).reshape(len(xi1_samples), -1)
     return ScenarioPaths(np.hstack([xi1, *(np.broadcast_to(v, (len(xi1), v.size)) for v in tail)]),
                          (xi1.shape[1], *(v.size for v in tail)))
 
 
-def swct_value(
-    problem: MultistageRobustLP,
-    xi1_samples,
-    tail=None,
-    solver="highs",
-) -> float:
-    """Certificate bound over first-stage draws with a deterministic tail.
-
-    Builds the same certificate LP as build_swc on the hybrid paths; only
-    xi^1 varies across samples, so certificates are shared per distinct
-    first-stage draw at every later stage.
-    """
-    paths = hybrid_paths(problem.uncertainty, xi1_samples, tail)
-    lp, _ = build_swc(problem, build_prefix_tree(paths))
-    res = require_optimal(get_solver(solver)(lp), "swct")
-    return float(res.objective)
+def swct_value(problem: MultistageRobustLP, xi1_samples, solver="highs") -> float:
+    """Certificate bound over first-stage draws with the nominal tail: the
+    SwC LP of the hybrid paths, one certificate chain per distinct draw."""
+    return solve_swc_paths(problem, hybrid_paths(problem.uncertainty, xi1_samples), solver)[0]
 
 
 def relaxed_grouping(paths) -> ScenarioPrefixTree:
@@ -579,63 +565,70 @@ def exact_value(
         value, _ = sws_value(problem, paths, solver)
         return value
     grouping = build_prefix_tree(paths) if mode == "ro" else relaxed_grouping(paths)
-    lp, _ = build_swc(problem, grouping)
-    res = require_optimal(get_solver(solver)(lp), f"exact {mode}")
-    return float(res.objective)
+    return float(_solve_grouping(problem, grouping, get_solver(solver)).objective)
 
 
 def solve_swc_paths(problem: MultistageRobustLP, paths,
                     solver="highs") -> tuple[float, np.ndarray, float, SolveResult]:
     """Solve the SwC LP over the paths' prefix tree; returns (value, x1,
     gamma, result), result.x in build_swc's column layout for the whole tree.
+    The tree is solved as _solve_grouping describes."""
+    res = _solve_grouping(problem, build_prefix_tree(paths), get_solver(solver))
+    n1 = problem.dims.n[0]
+    return float(res.objective), res.x[1 : 1 + n1], float(res.x[0]), res
 
-    When every stage-1 node has one leaf (no shared prefix), each leaf's
-    budget row constrains (x1, gamma) through its own recourse alone, so the
-    LP is solved by generation over leaves: a master build_swc LP over a
-    working set of leaves (the first FIRST_LEAVES at the start), then every
-    leaf priced at the master's x1 by scenario_costs' loop, adding the
-    ADD_LEAVES most violated leaves outside the set (cost above gamma by more
-    than LEAF_TOL) until none is.  The master is a relaxation whose (x1,
-    gamma) ends feasible for every leaf, so its value is the LP's optimum.
-    result.x then holds each leaf's recourse from the last pricing pass;
-    result.iterations sums the master solves and result.time_s is the whole
-    loop.  A tree with shared prefixes, or a leaf with unbounded recourse at
-    the master's x1, gets one solve of the whole LP.
+
+def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
+                    solve) -> SolveResult:
+    """build_swc's LP of the grouping, solved; result.x in its column layout.
+
+    When every stage-1 node has one leaf (no shared prefix, or the relaxed
+    grouping), each leaf's budget row constrains (x1, gamma) through its own
+    recourse alone, so the LP is solved by generation over leaves: a master
+    build_swc LP over a working set of leaves (the first FIRST_LEAVES at the
+    start), then every leaf priced at the master's x1 by scenario_costs'
+    loop, adding the ADD_LEAVES most violated leaves outside the set (cost
+    above gamma by more than LEAF_TOL) until none is.  The master is a
+    relaxation whose (x1, gamma) ends feasible for every leaf, so its value
+    is the LP's optimum.  result.x then holds each leaf's recourse from the
+    last pricing pass; result.iterations sums the master solves and
+    result.time_s is the whole loop.  A grouping with shared prefixes, or a
+    leaf with unbounded recourse at the master's x1, gets one solve of the
+    whole LP.
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: the
     method, rounds, working-set leaves, the last master's rows and columns
     and the summed master iterations (also as the record's `solve_swc` dict).
     """
-    tree = build_prefix_tree(paths)
-    solve = get_solver(solver)
-    K = tree.node_counts()
-    found = _generate(problem, tree, solve) if K[0] == K[-1] else None
+    K = grouping.node_counts()
+    found = _generate(problem, grouping, solve) if K[0] == K[-1] else None
     if found is None:
-        lp, _ = build_swc(problem, tree)
+        lp, _ = build_swc(problem, grouping)
         res = require_optimal(solve(lp), "swc")
         stats = {"method": "monolithic", "rounds": 1, "leaves": K[-1], "rows": lp.nrows,
                  "cols": lp.ncols, "iterations": res.iterations}
     else:
         res, stats = found
-    log.debug("solve_swc_paths: %(method)s, %(rounds)d rounds, %(leaves)d leaves, "
+    log.debug("solve_swc: %(method)s, %(rounds)d rounds, %(leaves)d leaves, "
               "master %(rows)d x %(cols)d, %(iterations)d iterations",
               stats, extra={"solve_swc": stats})
-    n1 = problem.dims.n[0]
-    return float(res.objective), res.x[1 : 1 + n1], float(res.x[0]), res
+    return res
 
 
 def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
               solve) -> tuple[SolveResult, dict] | None:
-    """solve_swc_paths' generation over the leaves of a tree without shared
-    prefixes; None when a leaf's recourse is unbounded at the master's x1
-    (its budget row is slack, but no recourse vector comes from pricing)."""
+    """_solve_grouping's generation over the leaves of a grouping with one
+    leaf per stage-1 node; None when a leaf's recourse is unbounded at the
+    master's x1 (its budget row is slack, but no recourse vector comes from
+    pricing).  Each master is the relaxed grouping of its working set, the
+    same LP as its prefix tree when no prefix is shared."""
     t0 = time.perf_counter()
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     work = np.arange(min(FIRST_LEAVES, len(leaves)))
     rounds = iterations = 0
     while True:
-        lp, vmap = build_swc(problem, build_prefix_tree(ScenarioPaths(leaves.values[work],
-                                                                      leaves.widths)))
+        lp, vmap = build_swc(problem, relaxed_grouping(ScenarioPaths(leaves.values[work],
+                                                                     leaves.widths)))
         master = require_optimal(solve(lp), "swc master")
         rounds, iterations = rounds + 1, iterations + master.iterations
         x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])

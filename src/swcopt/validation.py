@@ -91,12 +91,10 @@ def empirical_violation(
     return float(np.mean(costs > gamma + VIOLATION_TOL))
 
 
-def rvpi(problem: MultistageRobustLP, solver="highs", leaf_cap: int = 4096) -> float:
+def rvpi(problem: MultistageRobustLP, solver="highs") -> float:
     """Worst-case value of perfect information: exact RO minus exact
     wait-and-see.  Nonnegative by the lower-bound chain."""
-    return exact_value(problem, "ro", solver, leaf_cap) - exact_value(
-        problem, "rws", solver, leaf_cap
-    )
+    return exact_value(problem, "ro", solver) - exact_value(problem, "rws", solver)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +223,7 @@ def write_references_csv(references: dict[str, float], out_dir) -> Path:
 
 
 def _instance_task(payload) -> InstanceResult:
-    (problem, eps, N, index, seed, solver, L, val_N, compute_bounds, rt_tail,
-     ro) = payload
+    problem, eps, N, index, seed, solver, L, val_N, compute_bounds, ro = payload
     row = InstanceResult(eps=eps, index=index, seed=seed, N=N, ro_exact=ro)
     t0 = time.perf_counter()
     try:
@@ -240,7 +237,7 @@ def _instance_task(payload) -> InstanceResult:
         if compute_bounds:
             row.sws = sws_value(problem, train, solver)[0]
             xi1s = train.values[:, : problem.uncertainty.dim(1)]
-            row.swct = swct_value(problem, xi1s, rt_tail, solver)
+            row.swct = swct_value(problem, xi1s, solver)
     except (SolverError, RuntimeError, ValueError) as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     row.runtime_ms = (time.perf_counter() - t0) * 1e3
@@ -259,9 +256,7 @@ def run_experiment(
     L: int = 100,
     validation_per_batch: int | None = None,
     compute_bounds: bool = False,
-    rt_tail=None,
     jobs: int = 1,
-    leaf_cap: int = 4096,
     verbose: bool = False,
 ) -> ExperimentReport:
     """Solve `instances` seeded scenario problems per accuracy level.
@@ -278,10 +273,10 @@ def run_experiment(
         raise ValueError("need at least one instance")
     if n0 is None:
         n0 = problem.dims.n[0] + 1
-    references = {"ro": exact_value(problem, "ro", solver, leaf_cap)}
+    references = {"ro": exact_value(problem, "ro", solver)}
     if compute_bounds:
-        references["rws"] = exact_value(problem, "rws", solver, leaf_cap)
-        references["rt"] = exact_value(problem, "rt", solver, leaf_cap)
+        references["rws"] = exact_value(problem, "rws", solver)
+        references["rt"] = exact_value(problem, "rt", solver)
     epsilons = tuple(epsilons)
     tasks = []
     for eps in epsilons:
@@ -290,8 +285,7 @@ def run_experiment(
             tasks.append(
                 (
                     problem, eps, N, k, base_seed + k, solver, L,
-                    validation_per_batch or N, compute_bounds, rt_tail,
-                    references["ro"],
+                    validation_per_batch or N, compute_bounds, references["ro"],
                 )
             )
     if jobs > 1:

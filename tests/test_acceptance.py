@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The statistical criteria
 (3-5) drive hundreds of solves; the suite uses the HiGHS backend there and
-finished in 62 s on two cores, most of it in the criterion 3 (42 s) and
-criterion 4 (18 s) fixtures (the builtin simplex carries criteria 1 and 7,
+finished in 20 s on two cores, most of it in the criterion 4 (13 s) and
+criterion 3 (3.4 s) fixtures (the builtin simplex carries criteria 1 and 7,
 its design role).  Every test here carries the `acceptance` marker, so
 `pytest -m "not acceptance"` runs the rest of the suite alone.
 """

@@ -1,5 +1,7 @@
-"""Differential tests: solve_swc_paths' generation over leaves against the
-monolithic solve of the whole build_swc LP (the oracle).
+"""Differential tests: generation over leaves in builders._solve_grouping,
+which solves every certificate LP (solve_swc_paths, swct_value, exact_value's
+RO and RT), against the monolithic solve of the whole build_swc LP (the
+oracle).
 
 The gate everywhere: the value within 1e-7 relative of the oracle's, a
 result vector of the full LP's size that is feasible for it (max_violation
@@ -14,13 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcopt.builders import build_swc, scenario_costs, solve_swc_paths
+from swcopt.builders import (_solve_grouping, build_swc, exact_value, hybrid_paths,
+                             relaxed_grouping, scenario_costs, solve_swc_paths, swct_value,
+                             vertex_paths)
 from swcopt.inventory import inventory_benchmark
 from swcopt.lp import SolverError, get_solver, require_optimal
 from swcopt.model import (GE, AffineMap, DiscreteSupport, MultistageRobustLP, StageBlock,
                           StageDims, UncertaintySet)
 from swcopt.sampling import build_prefix_tree, draw_paths
 from swcopt.validation import VIOLATION_TOL, certificate_feasible
+from test_assembly import assert_same_lp
 from test_pool import constant_recourse_problem
 
 HIGHS = get_solver("highs")
@@ -33,14 +38,15 @@ def solve_record(caplog):
     return records[0].solve_swc
 
 
-def monolithic(problem, paths):
-    lp, _ = build_swc(problem, build_prefix_tree(paths))
+def monolithic(problem, paths, grouping=build_prefix_tree):
+    lp, _ = build_swc(problem, grouping(paths))
     return lp, require_optimal(HIGHS(lp), "oracle")
 
 
-def assert_matches_monolithic(problem, paths, solver="highs"):
-    """Generation's result against the oracle; returns generation's stats."""
-    lp, oracle = monolithic(problem, paths)
+def assert_matches_monolithic(problem, paths, solver="highs", grouping=build_prefix_tree):
+    """Generation's result on the certificate LP of grouping(paths) against
+    the oracle; returns generation's result and stats."""
+    lp, oracle = monolithic(problem, paths, grouping)
     logger = logging.getLogger("swcopt.builders")
     records = []
     handler = logging.Handler(logging.DEBUG)
@@ -49,21 +55,21 @@ def assert_matches_monolithic(problem, paths, solver="highs"):
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        value, x1, gamma, res = solve_swc_paths(problem, paths, solver)
+        res = _solve_grouping(problem, grouping(paths), get_solver(solver))
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     stats = [r.solve_swc for r in records if hasattr(r, "solve_swc")][-1]
     assert stats["method"] == "generated"
-    assert abs(value - oracle.objective) <= 1e-7 * max(1.0, abs(oracle.objective))
-    assert value == gamma == res.objective
+    gamma, x1 = res.x[0], res.x[1 : 1 + problem.dims.n[0]]
+    assert abs(res.objective - oracle.objective) <= 1e-7 * max(1.0, abs(oracle.objective))
+    assert res.objective == gamma
     assert len(res.x) == lp.ncols
     assert lp.max_violation(res.x) <= 1e-7
     assert lp.obj @ res.x == gamma
-    np.testing.assert_array_equal(res.x[1 : 1 + len(x1)], x1)
     worst = int(np.argmax(scenario_costs(problem, paths, x1=x1)))
     assert certificate_feasible(problem, x1, gamma, paths[worst])
-    return stats
+    return res, stats
 
 
 def uncertain_recourse(problem):
@@ -115,7 +121,7 @@ def test_two_stage_inventory_matches_monolithic(variant, seed):
 @pytest.mark.parametrize("seed", [[11, 0], [1001, 0], [63, 4]])
 def test_five_stage_continuous_matches_monolithic(N, seed):
     problem = inventory_benchmark(5)
-    stats = assert_matches_monolithic(problem, draw_paths(problem.uncertainty, N, seed))
+    _, stats = assert_matches_monolithic(problem, draw_paths(problem.uncertainty, N, seed))
     assert stats["leaves"] < 100
 
 
@@ -153,7 +159,9 @@ def test_debug_record_of_a_generated_solve(caplog):
     problem = inventory_benchmark(5)
     paths = draw_paths(problem.uncertainty, 63, [63, 4])
     with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
-        _, _, _, res = solve_swc_paths(problem, paths)
+        value, x1, gamma, res = solve_swc_paths(problem, paths)
+    assert value == gamma == res.objective
+    np.testing.assert_array_equal(res.x[1:4], x1)
     stats = solve_record(caplog)
     # a master's size depends only on its leaf count, and any subset of these paths is unshared
     master, _ = build_swc(problem, build_prefix_tree(paths[: stats["leaves"]]))
@@ -163,8 +171,63 @@ def test_debug_record_of_a_generated_solve(caplog):
     assert stats["iterations"] == res.iterations > 0
     record = [r for r in caplog.records if hasattr(r, "solve_swc")][0]
     assert record.getMessage() == (
-        f"solve_swc_paths: generated, {stats['rounds']} rounds, {stats['leaves']} leaves, "
+        f"solve_swc: generated, {stats['rounds']} rounds, {stats['leaves']} leaves, "
         f"master {master.nrows} x {master.ncols}, {res.iterations} iterations")
+
+
+@pytest.mark.parametrize("solver", ["highs", "builtin"])
+def test_rt_reference_matches_monolithic(solver):
+    # the relaxed grouping keeps one leaf per stage-1 node by construction
+    problem = inventory_benchmark(5)
+    res, _ = assert_matches_monolithic(problem, vertex_paths(problem.uncertainty), solver,
+                                       relaxed_grouping)
+    assert exact_value(problem, "rt", solver) == res.objective
+
+
+@pytest.mark.parametrize("variant", ["continuous", "integer"])
+@pytest.mark.parametrize("seed", [[11, 0], [1001, 0], [63, 4]])
+def test_swct_matches_monolithic(variant, seed):
+    # the hybrid tree's tail is fixed, so it shares no prefix; integer
+    # draws repeat and share a leaf
+    problem = inventory_benchmark(5, variant)
+    xi1s = draw_paths(problem.uncertainty, 600, seed).values[:, :1]
+    res, _ = assert_matches_monolithic(problem, hybrid_paths(problem.uncertainty, xi1s))
+    assert swct_value(problem, xi1s) == res.objective
+
+
+def test_ro_reference_takes_the_monolithic_solve(caplog):
+    # the five-stage vertex tree shares its stage-1 prefixes: one solve of the whole LP
+    problem = inventory_benchmark(5)
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        value = exact_value(problem, "ro")
+    lp, oracle = monolithic(problem, vertex_paths(problem.uncertainty))
+    stats = solve_record(caplog)
+    assert stats["method"] == "monolithic" and stats["rounds"] == 1
+    assert (stats["rows"], stats["cols"]) == (lp.nrows, lp.ncols)
+    assert value == oracle.objective
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), H=st.integers(2, 4), N=st.integers(1, 40),
+       kind=st.sampled_from(["box", "box hybrid", "discrete hybrid"]))
+def test_unshared_prefix_tree_is_the_relaxed_grouping(seed, H, N, kind):
+    # _generate builds its masters from relaxed_grouping: for leaves with no
+    # shared prefix it is the same LP as the prefix tree's, field for field;
+    # repeated discrete draws share a leaf in both
+    rng = np.random.default_rng(seed)
+    problem, _ = constant_recourse_problem(rng, H, False, False, discrete=kind.startswith("d"))
+    paths = draw_paths(problem.uncertainty, N, [seed, 0])
+    if kind.endswith("hybrid"):
+        paths = hybrid_paths(problem.uncertainty, paths.values[:, : paths.widths[0]])
+    counts = build_prefix_tree(paths).node_counts()
+    assert counts[0] == counts[-1]
+    tree_lp, tree_map = build_swc(problem, build_prefix_tree(paths))
+    relaxed_lp, relaxed_map = build_swc(problem, relaxed_grouping(paths))
+    assert_same_lp(relaxed_lp, tree_lp)
+    assert (relaxed_map.gamma, relaxed_map.x1, relaxed_map.widths) == (
+        tree_map.gamma, tree_map.x1, tree_map.widths)
+    for a, b in zip(relaxed_map.starts, tree_map.starts):
+        np.testing.assert_array_equal(a, b)
 
 
 def unbounded_leaf_problem():

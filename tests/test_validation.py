@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from swcopt.builders import solve_swc_paths, vertex_paths
+from swcopt.builders import exact_value, solve_swc_paths, vertex_paths
 from swcopt.inventory import inventory_benchmark
 from swcopt.lp import SolverError, get_solver
 from swcopt.model import ScenarioPath
@@ -138,20 +138,24 @@ def test_run_experiment_report_consistency(tmp_path):
 
 def test_run_experiment_records_failures():
     problem = inventory_benchmark(2)
-
-    calls = {"n": 0}
+    highs = get_solver("highs")
+    calls = {"n": 0, "fail": None}
 
     def flaky(lp):
-        # first call solves the exact reference; fail the first instance solve
+        # fail the first solve after the exact reference's, inside the first instance
         calls["n"] += 1
-        if calls["n"] == 2:
+        if calls["n"] == calls["fail"]:
             raise SolverError("synthetic failure")
-        return get_solver("highs")(lp)
+        return highs(lp)
 
+    exact_value(problem, "ro", solver=flaky)  # a dry run counts the reference's solves
+    calls["fail"] = calls["n"] + 1
+    calls["n"] = 0
     report = run_experiment(
         problem, [0.3], 0.001, 2, base_seed=1, solver=flaky, n0=4, L=2,
     )
-    assert len(report.errors) == 1
+    assert calls["n"] > calls["fail"]
+    assert len(report.errors) == 1 and "synthetic failure" in report.errors[0]
     assert len(report.rows_for(0.3)) == 1
 
 
@@ -180,3 +184,15 @@ def test_builtin_solver_runs_validation():
     assert row.error is None and row.violation == highs.violation > 0.0
     assert row.swc_value == pytest.approx(highs.swc_value, rel=1e-9)
     assert row.ro_exact == pytest.approx(2207.554108, abs=1e-6)
+
+
+def test_builtin_solver_runs_bounds():
+    # the RT reference and the hybrid swct tree are solved by generation, so
+    # the builtin simplex never meets their whole LPs
+    problem = inventory_benchmark(5)
+    report = run_experiment(problem, [0.1], 1e-3, 1, 0, "builtin", n0=4, L=1,
+                            compute_bounds=True)
+    highs = run_experiment(problem, [0.1], 1e-3, 1, 0, "highs", n0=4, L=1,
+                           compute_bounds=True).rows[0]
+    assert report.errors == []
+    assert report.rows[0].swct == pytest.approx(highs.swct, rel=1e-9)
