@@ -14,7 +14,17 @@ Turns a multistage robust model plus scenario data into concrete LPs:
                         relaxation that reveals everything after stage one (RT).
 
 All four certificate LPs (SwC, SwCT, RO, RT) are solved by _solve_grouping,
-which picks generation over leaves or one solve of the whole LP.
+which picks one of three exact methods by the tree's shape:
+
+* generation over leaves (_generate) when no prefix is shared below stage
+  one (continuous demand, hybrid trees, the RT grouping);
+* the L-shaped core method (_solve_core) when prefixes are shared, T, W
+  and c are constant and some non-leaf node has a single leaf below it: a
+  master over the shared nodes' certificates, with every leaf's unshared
+  tail entering as optimality and feasibility cuts priced on basis pools;
+* one solve of the whole LP otherwise (uncertain T, W or c, a tree whose
+  every non-leaf node is shared such as the RO vertex tree), and whenever
+  one of the methods above meets an unbounded tail.
 
 Vertex-based exact references need worst cases at support vertices: true
 when T, W and c are constant (uncertainty only in h, as in the shipped
@@ -26,12 +36,12 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lp import LPInstance, SolveResult, SolverError, Status, get_solver, require_optimal
-from .model import (EQ, LE, DiscreteSupport, MultistageRobustLP, ScenarioPath, ScenarioPaths,
+from .model import (EQ, GE, LE, DiscreteSupport, MultistageRobustLP, ScenarioPath, ScenarioPaths,
                     UncertaintySet, validate)
 from .sampling import ScenarioPrefixTree, build_prefix_tree
 
@@ -133,14 +143,15 @@ class _Assembly:
         self.rows(r0, p.senses1, p.h1)
 
     def stage(self, t: int, X: np.ndarray, r0: np.ndarray, c0: np.ndarray,
-              prev: np.ndarray | None, x1: np.ndarray | None = None) -> None:
+              prev: np.ndarray | None, state: np.ndarray | None = None) -> None:
         """Rows T x^{t-1} + W x^t (sense) h of stage t at K nodes with
         uncertainty X (K, D).  With prev None the previous stage is the
-        fixed x1, whose term T x1 moves to the right-hand side."""
+        fixed state (one vector, or one row per node), whose term T x^{t-1}
+        moves to the right-hand side."""
         blk = self.problem.stage_block(t)
         T, W, h = blk.T.eval_many(X), blk.W.eval_many(X), blk.h.eval_many(X)
         if prev is None:
-            h = h - T @ x1
+            h = h - (T @ state if state.ndim == 1 else (T @ state[:, :, None])[:, :, 0])
         else:
             self.entries(r0, prev, T)
         self.entries(r0, c0, W)
@@ -183,16 +194,8 @@ def build_swc(
     lp = _Assembly(problem, row0[-1] + K[-1], col0[-1])
     lp.lower[0], lp.obj[0], lp.names[0] = -np.inf, 1.0, "gamma"
     lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64), "")
-    starts = []
-    for level in range(1, H):
-        t, k = level + 1, np.arange(K[level - 1])
-        X = tree.nodes[level - 1]
-        c0 = col0[level - 1] + n[t - 1] * k
-        # stage-2 rows always read x1 (relaxed groupings carry parent[0] = range(K))
-        prev = np.ones_like(k) if level == 1 else starts[-1][tree.parent[level - 1]]
-        lp.columns(t, c0, f"_n{level}_")
-        lp.stage(t, X, row0[level - 1] + m[t - 1] * k, c0, prev)
-        starts.append(c0)
+    starts = _certificate_blocks(lp, tree, [np.arange(k) for k in K])
+    X = tree.nodes[-1]
     # budget rows -gamma + c1'x1 + sum_t c_t(xi)'x_t <= 0, one per leaf; c1 kept whole, zeros too
     budget = row0[-1] + np.arange(K[-1])
     lp.coo.append((np.repeat(budget, 1 + n[0]), np.tile(np.arange(1 + n[0]), K[-1]),
@@ -206,41 +209,96 @@ def build_swc(
     return lp.build(), VariableIndexMap(0, range(1, 1 + n[0]), tuple(starts), n[1:])
 
 
+def _certificate_blocks(lp: _Assembly, tree: ScenarioPrefixTree,
+                        picks: list[np.ndarray]) -> list[np.ndarray]:
+    """The columns and stage rows of one certificate block per picked node
+    (picks[level-1]: node indices of that level, whose parents are picked),
+    level by level after gamma, x1 and the first-stage rows.  Returns per
+    level every node's first column, -1 where it is not picked."""
+    n, m = lp.problem.dims.n, lp.problem.dims.m
+    col, row = 1 + n[0], m[0]
+    starts = []
+    for level, j in enumerate(picks, start=1):
+        t, k = level + 1, np.arange(j.size)
+        c0 = col + n[t - 1] * k
+        # stage-2 rows always read x1 (relaxed groupings carry parent[0] = range(K))
+        prev = np.ones_like(k) if level == 1 else starts[-1][tree.parent[level - 1][j]]
+        lp.columns(t, c0, f"_n{level}_")
+        lp.stage(t, tree.nodes[level - 1][j], row + m[t - 1] * k, c0, prev)
+        starts.append(np.full(tree.n_nodes(level), -1))
+        starts[-1][j] = c0
+        col, row = col + n[t - 1] * j.size, row + m[t - 1] * j.size
+    return starts
+
+
 def build_deterministic(problem: MultistageRobustLP, path: ScenarioPath) -> LPInstance:
     """Fully anticipative single-scenario LP (all stages decided knowing the path)."""
     _check_problem(problem)
     return _separable_blocks(problem, [path], None)[0]
 
 
+def _state_rows(state: np.ndarray | None, idx) -> np.ndarray | None:
+    """The states of the paths idx: one vector shared by every path, or one row each."""
+    return state if state is None or state.ndim == 1 else state[idx]
+
+
 def _separable_blocks(
     problem: MultistageRobustLP,
     paths,
-    x1: np.ndarray | None,
+    state: np.ndarray | None,
+    s: int = 2,
 ) -> tuple[LPInstance, np.ndarray, int]:
     """Block-diagonal stack of per-path LPs (independent blocks, summed
-    objective).  With x1 fixed the blocks are the recourse problems over
-    stages 2..H; otherwise each block is the full deterministic LP.  Path
+    objective).  With state None each block is the full deterministic LP;
+    otherwise it is the tail over decision stages s..H given the stage-(s-1)
+    decisions `state` (one vector for every path, such as a fixed x1, or one
+    row per path), whose term T_s state moves to the right-hand side.  Path
     i's columns are tagged "_s{i}".  Returns the LP, the first column of
     every block and the block width."""
     paths = ScenarioPaths.of(paths)
     _check_widths(problem, paths)
-    first = 0 if x1 is None else 1  # index of the first decision stage in a block
-    col_off = np.cumsum([0, *problem.dims.n[first:]])
-    row_off = np.cumsum([0, *problem.dims.m[first:]])
+    first = 1 if state is None else s  # first decision stage of a block
+    col_off = np.cumsum([0, *problem.dims.n[first - 1:]])
+    row_off = np.cumsum([0, *problem.dims.m[first - 1:]])
     P, X = len(paths), paths.values
     c0, r0 = col_off[-1] * np.arange(P), row_off[-1] * np.arange(P)
     lp = _Assembly(problem, P * row_off[-1], P * col_off[-1])
     prev = None
-    if x1 is None:
+    if state is None:
         lp.first_stage(r0, c0, "_s", problem.c1)
         prev = c0
-    for t in range(2, problem.H + 1):
-        s = t - 1 - first
-        ct = c0 + col_off[s]
+    for t in range(max(first, 2), problem.H + 1):
+        ct = c0 + col_off[t - first]
         lp.columns(t, ct, "_s", problem.stage_block(t).c.eval_many(X))
-        lp.stage(t, X, r0 + row_off[s], ct, prev, x1)
+        lp.stage(t, X, r0 + row_off[t - first], ct, prev, state)
         prev = ct
     return lp.build(), c0, int(col_off[-1])
+
+
+def _elastic(lp: LPInstance) -> LPInstance:
+    """Phase 1 of lp with elastic rows: minimise the sum of nonnegative
+    slacks that relax every row (-e in a <= row, +e in a >= row, both in an
+    = row) over lp's columns and bounds.  It is feasible for every
+    right-hand side, and its value is 0 exactly where lp is feasible."""
+    senses = np.asarray(lp.senses, dtype="<U2")
+    rows = np.concatenate([np.flatnonzero(senses != LE), np.flatnonzero(senses != GE)])
+    k = rows.size
+    r = np.concatenate([np.repeat(np.arange(lp.nrows), np.diff(lp.indptr)), rows])
+    c = np.concatenate([lp.indices, lp.ncols + np.arange(k)])
+    v = np.concatenate([lp.data, np.where(np.arange(k) < np.count_nonzero(senses != LE), 1.0, -1.0)])
+    order = np.lexsort((c, r))
+    return LPInstance(
+        ncols=lp.ncols + k,
+        lower=np.concatenate([lp.lower, np.zeros(k)]),
+        upper=np.concatenate([lp.upper, np.full(k, np.inf)]),
+        obj=np.concatenate([np.zeros(lp.ncols), np.ones(k)]),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(r, minlength=lp.nrows))]),
+        indices=c[order],
+        data=v[order],
+        senses=lp.senses,
+        rhs=lp.rhs,
+        names=lp.names + tuple(f"elastic{i}" for i in range(k)),
+    )
 
 
 def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
@@ -250,123 +308,162 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     With x1 given, the cost is c1'x1 plus the optimal recourse over stages
     2..H along the path.  Unresolved paths are solved in block-diagonal
     stacks (the blocks are independent, so per-block optima are read off
-    the stacked solution) of at most about CHUNK_ROWS rows; a stack that is
-    not solved to optimality falls back to per-path solves.
+    the stacked solution) of at most about CHUNK_ROWS rows.  A stack that is
+    not solved to optimality is split in halves, recursively; a one-path
+    stack's status is its path's (-inf if unbounded; SolverError on an
+    iteration limit).
 
     When T, W and c of stages 2..H are constant, the paths' LPs differ only
     in their right-hand sides b(xi).  The first stack then holds FIRST_BATCH
     paths and each later one at most twice as many as the one before.  After
-    each stack the optimal bases of its solved paths that pass a self-check
+    each solved stack the optimal bases of its paths that pass a self-check
     join a pool (_BasisPool).  An unresolved path whose b(xi) keeps a pooled
     basis primal feasible is optimal on that basis, and gets its cost
-    y'b(xi) without a solve.  Other models solve every path.
+    y'b(xi) without a solve.  A path found infeasible has its elastic phase
+    1 (_elastic) solved too, and those bases join a second pool: a path on
+    which one of them is primal feasible with a positive value is
+    infeasible without a solve.  Other models solve every path.
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
-    paths solved and certified, bases kept and rejected, and the per-path
-    fallback solves by status (also as the record's `scenario_costs` dict).
+    paths solved and certified, bases kept and rejected, LP solves, and the
+    paths whose own one-path stack was not optimal, by status (also as the
+    record's `scenario_costs` dict).
     """
-    return _path_costs(problem, ScenarioPaths.of(paths), get_solver(solver), x1)[0]
+    cost = _path_costs(problem, ScenarioPaths.of(paths), get_solver(solver), x1)[0]
+    return cost + (0.0 if x1 is None else float(problem.c1 @ x1))
 
 
 def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
-                x1: np.ndarray | None,
-                recourse: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """scenario_costs' loop.  With recourse, also returns each path's
-    optimal solution of its LP, laid out as one _separable_blocks block: the
-    stack's solution for a solved path, z_B = B^-1 b(xi) of its pooled basis
-    for a priced one, and zeros where the path has no optimal solution."""
-    const = 0.0 if x1 is None else float(problem.c1 @ x1)
-    rows_per = sum(problem.dims.m[1:]) + (problem.dims.m[0] if x1 is None else 0)
+                state: np.ndarray | None, s: int = 2, pools: dict | None = None,
+                recourse: bool = False) -> tuple[np.ndarray, np.ndarray | None, dict]:
+    """scenario_costs' loop over the per-path LPs _separable_blocks(problem,
+    paths, state, s) builds, so without the constant c1'x1 of a fixed x1.
+    Returns each path's optimal cost, its optimal solution laid out as one
+    block (with recourse: the stack's solution for a solved path, z_B = B^-1
+    b(xi) of its pooled basis for a priced one, zeros where the path has no
+    optimal solution) and the call's statistics.
+
+    pools keeps the basis pools across calls on LPs with the same A and c
+    (same s): "optimal" prices costs, "phase1" certifies infeasibility.
+    When it is given, every solved path offers its basis."""
+    first = 1 if state is None else s
+    rows_per = sum(problem.dims.m[first - 1:])
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
     pooled = rows_per > 0 and _recourse_is_constant(problem)
-    pool = None
-    fallback = Counter()
+    keep = pools is not None
+    pools = {} if pools is None else pools
+    marks = {}  # bases of each pool that every unresolved path has been priced on
+    done = np.zeros(len(paths), bool)
     out = np.empty(len(paths))
-    sol = np.zeros((len(paths), sum(problem.dims.n[0 if x1 is None else 1:]))) if recourse else None
+    sol = np.zeros((len(paths), sum(problem.dims.n[first - 1:]))) if recourse else None
+    failed = Counter()
+    solved = solves = 0
+
+    def offer(kind: str, Z, X, st, cost) -> None:
+        if kind not in pools:
+            one = _separable_blocks(problem, ScenarioPaths(X[:1], paths.widths),
+                                    _state_rows(st, [0]), s)[0]
+            pools[kind] = _BasisPool(one if kind == "optimal" else _elastic(one))
+        pools[kind].harvest(Z, _path_rhs(problem, X, st, s), cost)
+
+    def recheck() -> None:
+        for kind, pool in pools.items():
+            if len(pool.duals) > marks.get(kind, 0):
+                _certify(problem, paths, state, s, pool, marks.get(kind, 0), np.flatnonzero(~done),
+                         out, sol, done, kind == "phase1")
+                marks[kind] = len(pool.duals)
+
+    if pooled:
+        recheck()  # bases kept by earlier calls
     todo = np.arange(len(paths))
     size = min(FIRST_BATCH, per_chunk) if pooled else per_chunk
-    solved = 0
-    while todo.size:
+    while (todo := todo[~done[todo]]).size:
         batch, todo, size = todo[:size], todo[size:], min(2 * size, per_chunk)
-        solved += batch.size
-        X = paths.values[batch]
-        lp, _, width = _separable_blocks(problem, ScenarioPaths(X, paths.widths), x1)
-        res = solve(lp)
-        if res.status is Status.OPTIMAL:
-            # blocks are contiguous and of equal width; a stacked matmul takes one
-            # dot product per block, as the BLAS dot of its slices would
-            Z = res.x.reshape(-1, width)
-            cost = (lp.obj.reshape(-1, 1, width) @ Z[:, :, None]).ravel()
-        else:
-            Z, cost = np.zeros((len(batch), width)), np.empty(len(batch))
-            for k in range(len(batch)):
-                cost[k], single = _single_cost(problem, ScenarioPaths(X[k : k + 1], paths.widths),
-                                               solve, x1)
-                fallback[single.status.value] += 1
-                if single.status is Status.OPTIMAL:
-                    Z[k] = single.x
-        out[batch] = const + cost
-        if recourse:
-            sol[batch] = Z
-        if pooled and todo.size:
-            pool = pool or _BasisPool(_separable_blocks(problem, paths[:1], x1)[0])
-            first = len(pool.duals)
-            ok = np.isfinite(cost)
-            pool.harvest(Z[ok], _path_rhs(problem, X[ok], x1), cost[ok])
-            todo = _certify(problem, paths, x1, pool, first, todo, const, out, sol)
+        pending = [batch]
+        while pending:
+            idx = pending.pop()
+            idx = idx[~done[idx]]
+            if not idx.size:
+                continue
+            X, st = paths.values[idx], _state_rows(state, idx)
+            lp, _, width = _separable_blocks(problem, ScenarioPaths(X, paths.widths), st, s)
+            res = solve(lp)
+            solves += 1
+            more = pooled and (keep or bool(pending) or bool(todo.size))
+            if res.status is Status.OPTIMAL:
+                # blocks are contiguous and of equal width; a stacked matmul takes one
+                # dot product per block, as the BLAS dot of its slices would
+                Z = res.x.reshape(-1, width)
+                cost = (lp.obj.reshape(-1, 1, width) @ Z[:, :, None]).ravel()
+                out[idx], done[idx] = cost, True
+                solved += idx.size
+                if recourse:
+                    sol[idx] = Z
+                if more:
+                    offer("optimal", Z, X, st, cost)
+            elif idx.size > 1:
+                half = idx.size // 2
+                pending += [idx[half:], idx[:half]]
+            elif res.status in (Status.INFEASIBLE, Status.UNBOUNDED):
+                infeasible = res.status is Status.INFEASIBLE
+                out[idx], done[idx] = (np.inf if infeasible else -np.inf), True
+                solved += 1
+                failed[res.status.value] += 1
+                if infeasible and more:
+                    phase1 = solve(_elastic(lp))
+                    solves += 1
+                    if phase1.status is Status.OPTIMAL:
+                        offer("phase1", phase1.x[None], X, st, np.array([phase1.objective]))
+            else:
+                raise SolverError(f"scenario solve ended with {res.status.value}")
+            if pooled:
+                recheck()
     stats = {"paths": len(paths), "solved": solved, "certified": len(paths) - solved,
-             "kept": len(pool.duals) if pool else 0, "rejected": pool.rejected if pool else 0,
-             "fallback": dict(fallback)}
+             "kept": sum(len(p.duals) for p in pools.values()),
+             "rejected": sum(p.rejected for p in pools.values()), "solves": solves,
+             "failed": dict(failed)}
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
-              "%(kept)d bases kept, %(rejected)d rejected, fallback solves %(fallback)s",
-              stats, extra={"scenario_costs": stats})
-    return out, sol
+              "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves, "
+              "failed paths %(failed)s", stats, extra={"scenario_costs": stats})
+    return out, sol, stats
 
 
-def _single_cost(problem, path: ScenarioPaths, solve, x1) -> tuple[float, SolveResult]:
-    """The optimal cost of one path's LP (without c1'x1; +inf if infeasible,
-    -inf if unbounded) and the solve's result."""
-    res = solve(_separable_blocks(problem, path, x1)[0])
-    if res.status is Status.OPTIMAL:
-        return float(res.objective), res
-    if res.status is Status.INFEASIBLE:
-        return np.inf, res
-    if res.status is Status.UNBOUNDED:
-        return -np.inf, res
-    raise SolverError(f"scenario solve ended with {res.status.value}")
-
-
-def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, x1: np.ndarray | None) -> np.ndarray:
+def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, state: np.ndarray | None,
+              s: int = 2) -> np.ndarray:
     """Right-hand sides of the blocks _separable_blocks stacks for the paths
-    X (K, D), in its row order, without assembling an LP: (K, rows per block).
-    T must be constant; with x1 fixed, T x1 moves to stage 2's side as there."""
-    parts = [] if x1 is not None else [np.broadcast_to(problem.h1, (len(X), problem.dims.m[0]))]
-    for t in range(2, problem.H + 1):
+    X (K, D) and state, in its row order, without assembling an LP: (K, rows
+    per block).  T must be constant; T_s state moves to stage s's side as there."""
+    parts = [] if state is not None else [np.broadcast_to(problem.h1, (len(X), problem.dims.m[0]))]
+    for t in range(2 if state is None else s, problem.H + 1):
         blk = problem.stage_block(t)
         h = blk.h.eval_many(X)
-        parts.append(h - blk.T.base @ x1 if t == 2 and x1 is not None else h)
+        if t == s and state is not None:
+            h = h - (blk.T.base @ state if state.ndim == 1 else state @ blk.T.base.T)
+        parts.append(h)
     return np.hstack(parts)
 
 
-def _certify(problem, paths, x1, pool: "_BasisPool", first: int, todo: np.ndarray,
-             const: float, out: np.ndarray, sol: np.ndarray | None) -> np.ndarray:
+def _certify(problem, paths, state, s, pool: "_BasisPool", first: int, todo: np.ndarray,
+             out: np.ndarray, sol: np.ndarray | None, done: np.ndarray,
+             phase1: bool = False) -> None:
     """Price the unresolved paths todo on the pool's bases from `first` on,
-    CERTIFY_BLOCK paths at a time; writes their costs to out (and, unless sol
-    is None, their basic solutions to sol) and returns the paths that are
-    still unresolved."""
-    if first == len(pool.duals):
-        return todo
-    left = []
+    CERTIFY_BLOCK paths at a time, and mark the priced ones done.  On the
+    optimality pool a priced path gets its cost in out (and, unless sol is
+    None, its basic solution in sol); on the phase-1 pool only a path with
+    a positive phase-1 value counts, and it gets cost +inf."""
     for lo in range(0, todo.size, CERTIFY_BLOCK):
         idx = todo[lo : lo + CERTIFY_BLOCK]
-        B = _path_rhs(problem, paths.values[idx], x1)
+        B = _path_rhs(problem, paths.values[idx], _state_rows(state, idx), s)
         which, cost = pool.price(B, first)
         priced = which >= 0
-        out[idx[priced]] = const + cost[priced]
-        if sol is not None:
-            sol[idx[priced]] = pool.solutions(B[priced], which[priced])
-        left.append(idx[~priced])
-    return np.concatenate(left)
+        if phase1:
+            priced &= cost > POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+            out[idx[priced]] = np.inf
+        else:
+            out[idx[priced]] = cost[priced]
+            if sol is not None:
+                sol[idx[priced]] = pool.solutions(B[priced], which[priced])
+        done[idx[priced]] = True
 
 
 class _BasisPool:
@@ -436,6 +533,22 @@ class _BasisPool:
             cols, rows = self.primal[k]
             Z[np.ix_(idx, cols)] = B[idx] @ rows.T
         return Z
+
+    def dual_lp(self, b: np.ndarray) -> LPInstance:
+        """The LP's dual at right-hand side b, as  min -b'y  s.t.  y'A_j <= c_j
+        (= for a free column j), y_i <= 0 on a <= row and >= 0 on a >= row.
+        Its optimal solutions are the LP's optimal dual vectors at b."""
+        m = self.M.shape[0]
+        lower, upper = np.full(m, -np.inf), np.full(m, np.inf)
+        upper[self.ineq[self.sign > 0]] = 0.0
+        lower[self.ineq[self.sign < 0]] = 0.0
+        rows, cols = np.nonzero(self.M.T)
+        return LPInstance(
+            ncols=m, lower=lower, upper=upper, obj=-b,
+            indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))]),
+            indices=cols, data=self.M.T[rows, cols],
+            senses=tuple(np.where(self.bounded[: self.n], LE, EQ).tolist()),
+            rhs=self.c[: self.n], names=tuple(f"y{i}" for i in range(m)))
 
     def _offer(self, x: np.ndarray, b: np.ndarray, cost: float) -> bool:
         # the vertex's nonzero variables, and every free one, come first; a
@@ -582,26 +695,37 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
                     solve) -> SolveResult:
     """build_swc's LP of the grouping, solved; result.x in its column layout.
 
-    When every stage-1 node has one leaf (no shared prefix, or the relaxed
-    grouping), each leaf's budget row constrains (x1, gamma) through its own
-    recourse alone, so the LP is solved by generation over leaves: a master
-    build_swc LP over a working set of leaves (the first FIRST_LEAVES at the
-    start), then every leaf priced at the master's x1 by scenario_costs'
-    loop, adding the ADD_LEAVES most violated leaves outside the set (cost
-    above gamma by more than LEAF_TOL) until none is.  The master is a
-    relaxation whose (x1, gamma) ends feasible for every leaf, so its value
-    is the LP's optimum.  result.x then holds each leaf's recourse from the
-    last pricing pass; result.iterations sums the master solves and
-    result.time_s is the whole loop.  A grouping with shared prefixes, or a
-    leaf with unbounded recourse at the master's x1, gets one solve of the
-    whole LP.
+    One of three methods, each exact:
+
+    * "generated" when every stage-1 node has one leaf (no shared prefix,
+      or the relaxed grouping): each leaf's budget row constrains (x1,
+      gamma) through its own recourse alone, so the LP is solved by
+      generation over leaves (_generate);
+    * "core" when prefixes are shared, T, W and c are constant, and some
+      non-leaf node has a single leaf below it: an L-shaped master over the
+      shared nodes, with every leaf's unshared tail entering as cuts
+      (_solve_core);
+    * "monolithic", one solve of the whole LP, otherwise: uncertain T, W
+      or c, a tree whose every non-leaf node is shared (the RO vertex
+      tree), or a method above that meets an unbounded tail.
+
+    result.objective is gamma; for the first two, result.iterations sums
+    the master solves and result.time_s is the whole loop.
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: the
-    method, rounds, working-set leaves, the last master's rows and columns
-    and the summed master iterations (also as the record's `solve_swc` dict).
+    method, rounds, leaves, the last master's rows and columns and the
+    summed master iterations; a core solve adds its core nodes per stage,
+    its optimality and feasibility cuts, and the tails solved and certified
+    by pricing (all also as the record's `solve_swc` dict).
     """
     K = grouping.node_counts()
-    found = _generate(problem, grouping, solve) if K[0] == K[-1] else None
+    found = None
+    if K[0] == K[-1]:
+        found = _generate(problem, grouping, solve)
+    elif _recourse_is_constant(problem):
+        core = _core_nodes(grouping)
+        if not all(c.all() for c in core):
+            found = _solve_core(problem, grouping, core, solve)
     if found is None:
         lp, _ = build_swc(problem, grouping)
         res = require_optimal(solve(lp), "swc")
@@ -609,19 +733,30 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
                  "cols": lp.ncols, "iterations": res.iterations}
     else:
         res, stats = found
-    log.debug("solve_swc: %(method)s, %(rounds)d rounds, %(leaves)d leaves, "
-              "master %(rows)d x %(cols)d, %(iterations)d iterations",
-              stats, extra={"solve_swc": stats})
+    message = ("solve_swc: %(method)s, %(rounds)d rounds, %(leaves)d leaves, "
+               "master %(rows)d x %(cols)d, %(iterations)d iterations")
+    if stats["method"] == "core":
+        message += (", core nodes %(core)s, cuts %(optimality_cuts)d optimality + "
+                    "%(feasibility_cuts)d feasibility, tails %(solved)d solved + "
+                    "%(certified)d certified")
+    log.debug(message, stats, extra={"solve_swc": stats})
     return res
 
 
 def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
               solve) -> tuple[SolveResult, dict] | None:
     """_solve_grouping's generation over the leaves of a grouping with one
-    leaf per stage-1 node; None when a leaf's recourse is unbounded at the
-    master's x1 (its budget row is slack, but no recourse vector comes from
-    pricing).  Each master is the relaxed grouping of its working set, the
-    same LP as its prefix tree when no prefix is shared."""
+    leaf per stage-1 node: a master build_swc LP over a working set of
+    leaves (the first FIRST_LEAVES at the start), then every leaf priced at
+    the master's x1 by scenario_costs' loop, adding the ADD_LEAVES most
+    violated leaves outside the set (cost above gamma by more than
+    LEAF_TOL) until none is.  The master is a relaxation whose (x1, gamma)
+    ends feasible for every leaf, so its value is the LP's optimum; x holds
+    each leaf's recourse from the last pricing pass.  Each master is the
+    relaxed grouping of its working set, the same LP as its prefix tree
+    when no prefix is shared.  None when a leaf's recourse is unbounded at
+    the master's x1 (its budget row is slack, but no recourse vector comes
+    from pricing)."""
     t0 = time.perf_counter()
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     work = np.arange(min(FIRST_LEAVES, len(leaves)))
@@ -632,10 +767,10 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
         master = require_optimal(solve(lp), "swc master")
         rounds, iterations = rounds + 1, iterations + master.iterations
         x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])
-        cost, Z = _path_costs(problem, leaves, solve, x1, recourse=True)
+        cost, Z, _ = _path_costs(problem, leaves, solve, x1, recourse=True)
         if np.any(cost == -np.inf):
             return None
-        excess = cost - gamma
+        excess = (cost + float(problem.c1 @ x1)) - gamma
         excess[work] = 0.0
         new = np.flatnonzero(excess > LEAF_TOL)
         if not new.size:
@@ -647,3 +782,189 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     res = SolveResult(Status.OPTIMAL, gamma, x, iterations, time.perf_counter() - t0)
     return res, {"method": "generated", "rounds": rounds, "leaves": len(work), "rows": lp.nrows,
                  "cols": lp.ncols, "iterations": iterations}
+
+
+def _core_nodes(tree: ScenarioPrefixTree) -> list[np.ndarray]:
+    """The core of a grouping: for each level 1..S-1, which nodes have at
+    least two distinct leaves below them.  A core node's parent is core."""
+    below = np.ones(tree.node_counts()[-1])
+    core = []
+    for level in range(tree.n_stages - 1, 0, -1):
+        below = np.bincount(tree.parent[level], weights=below, minlength=tree.n_nodes(level))
+        core.insert(0, below >= 2)
+    return core
+
+
+def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: list[np.ndarray],
+                 lower: float) -> tuple[LPInstance, list[np.ndarray]]:
+    """The core master's structural LP: min gamma over gamma >= lower, x1
+    with its first-stage rows, and one certificate block with its stage
+    rows per core node (build_swc's layout restricted to the core, without
+    budget rows).  Also returns, per level, each node's first master column
+    (-1 off the core)."""
+    n, m = problem.dims.n, problem.dims.m
+    picks = [np.flatnonzero(c) for c in core]
+    ncols = 1 + n[0] + sum(len(j) * n[k] for k, j in enumerate(picks, start=1))
+    nrows = m[0] + sum(len(j) * m[k] for k, j in enumerate(picks, start=1))
+    lp = _Assembly(problem, nrows, ncols)
+    lp.lower[0], lp.obj[0], lp.names[0] = lower, 1.0, "gamma"
+    lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64), "")
+    starts = _certificate_blocks(lp, tree, picks)
+    return lp.build(), starts
+
+
+def _with_cuts(lp: LPInstance, cuts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> LPInstance:
+    """lp with <= rows appended, given as blocks of (columns (q, w), values
+    (q, w), right-hand sides (q,))."""
+    if not cuts:
+        return lp
+    cols, vals, rhs = zip(*cuts)
+    counts = np.concatenate([np.full(len(b), c.shape[1]) for c, b in zip(cols, rhs)])
+    return replace(
+        lp,
+        indptr=np.concatenate([lp.indptr, lp.indptr[-1] + np.cumsum(counts)]),
+        indices=np.concatenate([lp.indices, *(c.ravel() for c in cols)]),
+        data=np.concatenate([lp.data, *(v.ravel() for v in vals)]),
+        senses=lp.senses + (LE,) * counts.size,
+        rhs=np.concatenate([lp.rhs, *rhs]),
+    )
+
+
+def _tail_duals(pool: "_BasisPool | None", B: np.ndarray, solve) -> np.ndarray | None:
+    """Optimal dual vectors of the pool's LP at the right-hand sides B (K,
+    m): from the pooled basis that prices a row, else from a solve of the
+    LP's dual (_BasisPool.dual_lp; a degenerate vertex can leave a solved
+    path without a pooled basis).  None when there is no pool or a dual
+    solve is not optimal."""
+    if pool is None:
+        return None
+    which, _ = pool.price(B, 0)
+    Y = np.empty((len(B), pool.M.shape[0]))
+    if np.any(which >= 0):
+        Y[which >= 0] = np.asarray(pool.duals)[which[which >= 0]]
+    for i in np.flatnonzero(which < 0).tolist():
+        res = solve(pool.dual_lp(B[i]))
+        if res.status is not Status.OPTIMAL:
+            return None
+        Y[i] = res.x
+    return Y
+
+
+def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: list[np.ndarray],
+                solve) -> tuple[SolveResult, dict] | None:
+    """_solve_grouping's L-shaped method (Van Slyke & Wets 1969) over the
+    core of a shared grouping with constant T, W and c.
+
+    The master (_core_master) holds gamma, x1 and the core nodes'
+    certificates.  A leaf whose deepest core node is at level d has an
+    unshared tail: its certificates of stages d+2..H, which no other leaf
+    uses.  So the whole LP is the master plus, per leaf, c1'x1 + its core
+    ancestors' costs + Q(b) <= gamma, with Q the optimal tail cost at
+    right-hand side b = b(xi, x_d) (x_d the state at its deepest core node,
+    x1 when d = 0).  The tail LPs of one depth share A and c, so each depth
+    keeps one pair of basis pools across rounds, and every dual vector y of
+    a pooled basis gives Q(b) >= y'b for all b.  Each round prices every
+    tail at the master's point with scenario_costs' loop and adds, for
+    each leaf over gamma by more than LEAF_TOL, the optimality cut y'b(xi,
+    x_d) with y its optimal basis's duals, and for each infeasible tail the
+    feasibility cut sigma'b(xi, x_d) <= 0 with sigma the duals of its
+    elastic phase 1.  The bound gamma >= max over leaves of the anticipative
+    optimum keeps the first masters bounded.
+
+    The loop ends when no leaf is over, or over only by a cut the master
+    already holds (so within the master solver's tolerance); the master is
+    then exact, and x has build_swc's layout: the core blocks from the
+    master and every other node's block from its leaf's tail solution.
+    None (the caller solves the whole LP) when a tail is unbounded, when no
+    dual vector comes for a cut (_tail_duals), or when an infeasible tail
+    only repeats a cut the master already holds."""
+    t0 = time.perf_counter()
+    n, S = problem.dims.n, tree.n_stages
+    leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
+    anticipative = _path_costs(problem, leaves, solve, None)[0]
+    if not np.all(np.isfinite(anticipative)):
+        return None
+    master, first_col = _core_master(problem, tree, core, float(np.max(anticipative)))
+    anc = [np.arange(len(leaves))]  # anc[k-1]: each leaf's level-k node
+    for level in range(S - 1, 0, -1):
+        anc.insert(0, tree.parent[level][anc[0]])
+    depth = sum(c[a].astype(int) for c, a in zip(core, anc))
+    groups = []  # per depth d: its leaves, their cut columns and the cuts' cost part
+    for d in range(S):
+        g = np.flatnonzero(depth == d)
+        if g.size:
+            cols = np.hstack([np.zeros((g.size, 1), np.int64),
+                              np.broadcast_to(np.arange(1, 1 + n[0]), (g.size, n[0])),
+                              *(first_col[k - 1][anc[k - 1][g]][:, None] + np.arange(n[k])
+                                for k in range(1, d + 1))])
+            coef = np.concatenate([[-1.0], problem.c1,
+                                   *(problem.stage_block(t).c.base for t in range(2, d + 2))])
+            groups.append((d, g, cols, coef))
+    pools = [{} for _ in range(S)]
+    cuts, seen, tails = [], set(), []
+    rounds = iterations = 0
+    counts = Counter()
+    while True:
+        lp = _with_cuts(master, cuts)
+        res = require_optimal(solve(lp), "swc core master")
+        rounds, iterations = rounds + 1, iterations + res.iterations
+        gamma, added, tails = float(res.x[0]), 0, []
+        for d, g, cols, coef in groups:
+            s, ns = d + 2, n[d]
+            T = problem.stage_block(s).T.base
+            X = leaves.values[g]
+            state = res.x[cols[:, -ns:]]  # x1, or the deepest core node's block
+            cost, Z, stats = _path_costs(problem, ScenarioPaths(X, leaves.widths), solve, state, s,
+                                         pools[d], recourse=True)
+            counts["solved"] += stats["solved"]
+            counts["certified"] += stats["certified"]
+            if np.any(cost == -np.inf):
+                return None
+            tails.append(Z)
+            over = np.flatnonzero(np.isfinite(cost) & (res.x[cols] @ coef + cost > LEAF_TOL))
+            for kind, idx in (("optimal", over), ("phase1", np.flatnonzero(cost == np.inf))):
+                Y = _tail_duals(pools[d].get(kind), _path_rhs(problem, X[idx], state[idx], s),
+                                solve) if idx.size else np.empty((0, 0))
+                if Y is None:
+                    return None
+                new = np.array([(kind, i, y.tobytes()) not in seen
+                                for i, y in zip(g[idx].tolist(), Y)], dtype=bool)
+                if kind == "phase1" and not new.all():
+                    return None  # the master holds this cut already, within its tolerance
+                seen.update((kind, i, y.tobytes()) for i, y in zip(g[idx].tolist(), Y))
+                idx, Y = idx[new], Y[new]
+                if not idx.size:
+                    continue
+                h = _path_rhs(problem, X[idx], np.zeros((idx.size, ns)), s)
+                if kind == "optimal":
+                    vals = np.tile(coef, (idx.size, 1))
+                    vals[:, -ns:] -= Y[:, : T.shape[0]] @ T
+                    cuts.append((cols[idx], vals, -np.sum(Y * h, axis=1)))
+                else:
+                    cuts.append((cols[idx, -ns:], -Y[:, : T.shape[0]] @ T,
+                                 -np.sum(Y * h, axis=1)))
+                counts[kind] += idx.size
+                added += idx.size
+        if not added:
+            break
+    # build_swc's layout: core blocks from the master, every other block from a tail
+    K = tree.node_counts()
+    col0 = np.cumsum([1 + n[0], *np.multiply(K, n[1:])])
+    x = np.empty(col0[-1])
+    x[: 1 + n[0]] = res.x[: 1 + n[0]]
+    for level, c in enumerate(core, start=1):
+        j = np.flatnonzero(c)
+        x[_span(col0[level - 1] + n[level] * j, n[level])] = res.x[_span(first_col[level - 1][j],
+                                                                          n[level])]
+    for (d, g, _, _), Z in zip(groups, tails):
+        off = 0
+        for level in range(d + 1, S + 1):
+            node = anc[level - 1][g]
+            x[_span(col0[level - 1] + n[level] * node, n[level])] = Z[:, off : off + n[level]].ravel()
+            off += n[level]
+    result = SolveResult(Status.OPTIMAL, gamma, x, iterations, time.perf_counter() - t0)
+    return result, {"method": "core", "rounds": rounds, "leaves": K[-1], "rows": lp.nrows,
+                    "cols": lp.ncols, "iterations": iterations,
+                    "core": [int(c.sum()) for c in core],
+                    "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["phase1"],
+                    "solved": counts["solved"], "certified": counts["certified"]}

@@ -233,8 +233,8 @@ def test_relaxed_value_between_sws_and_swc():
 
 
 def _scripted_solver(statuses):
-    """Stub solver: answers the stacked solve and then each per-path
-    fallback solve with the next status, and records every LP it got."""
+    """Stub solver: answers each solve with the next status (x = 0 when
+    optimal), and records every LP it got."""
     seen = []
 
     def solve(lp):
@@ -247,18 +247,22 @@ def _scripted_solver(statuses):
     return solve, seen
 
 
-def test_scenario_costs_falls_back_per_path_after_nonoptimal_stack():
+def test_scenario_costs_bisects_a_nonoptimal_stack():
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
     x1 = np.array([50.0, 60.0, 0.0])
-    solve, seen = _scripted_solver(
-        [Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED]
-    )
+    solve, seen = _scripted_solver([Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE,
+                                    Status.INFEASIBLE, Status.OPTIMAL, Status.UNBOUNDED])
     costs = scenario_costs(problem, paths, solve, x1=x1)
-    assert costs[0] == float(problem.c1 @ x1) + 5.0
+    assert costs[0] == float(problem.c1 @ x1)  # the cost of the stub's x = 0
     assert costs[1] == np.inf and costs[2] == -np.inf
-    # one stacked solve, then one single-path LP per path
-    assert [lp.nrows for lp in seen] == [3 * seen[1].nrows] + [seen[1].nrows] * 3
+    # the stack of three, then path 0, the stack of paths 1 and 2, path 1, its
+    # elastic phase 1 (one more column per <= or >= row, two per = row), path 2
+    rows = seen[1].nrows
+    assert [lp.nrows for lp in seen] == [3 * rows, rows, 2 * rows, rows, rows, rows]
+    elastic = sum(2 if s == "=" else 1 for s in seen[3].senses)
+    assert seen[4].ncols == seen[3].ncols + elastic
+    assert seen[4].obj.tolist() == [0.0] * seen[3].ncols + [1.0] * elastic
 
 
 def test_scenario_costs_iteration_limit_is_a_solver_error():

@@ -1,7 +1,7 @@
-"""Differential tests: generation over leaves in builders._solve_grouping,
-which solves every certificate LP (solve_swc_paths, swct_value, exact_value's
-RO and RT), against the monolithic solve of the whole build_swc LP (the
-oracle).
+"""Differential tests: generation over leaves and the L-shaped core method
+in builders._solve_grouping, which solves every certificate LP
+(solve_swc_paths, swct_value, exact_value's RO and RT), against the
+monolithic solve of the whole build_swc LP (the oracle).
 
 The gate everywhere: the value within 1e-7 relative of the oracle's, a
 result vector of the full LP's size that is feasible for it (max_violation
@@ -43,9 +43,10 @@ def monolithic(problem, paths, grouping=build_prefix_tree):
     return lp, require_optimal(HIGHS(lp), "oracle")
 
 
-def assert_matches_monolithic(problem, paths, solver="highs", grouping=build_prefix_tree):
-    """Generation's result on the certificate LP of grouping(paths) against
-    the oracle; returns generation's result and stats."""
+def assert_matches_monolithic(problem, paths, solver="highs", grouping=build_prefix_tree,
+                              method="generated"):
+    """The method's result on the certificate LP of grouping(paths) against
+    the oracle; returns the result and its stats."""
     lp, oracle = monolithic(problem, paths, grouping)
     logger = logging.getLogger("swcopt.builders")
     records = []
@@ -60,7 +61,7 @@ def assert_matches_monolithic(problem, paths, solver="highs", grouping=build_pre
         logger.removeHandler(handler)
         logger.setLevel(level)
     stats = [r.solve_swc for r in records if hasattr(r, "solve_swc")][-1]
-    assert stats["method"] == "generated"
+    assert stats["method"] == method
     gamma, x1 = res.x[0], res.x[1 : 1 + problem.dims.n[0]]
     assert abs(res.objective - oracle.objective) <= 1e-7 * max(1.0, abs(oracle.objective))
     assert res.objective == gamma
@@ -72,11 +73,26 @@ def assert_matches_monolithic(problem, paths, solver="highs", grouping=build_pre
     return res, stats
 
 
-def uncertain_recourse(problem):
-    """The model with stage 2's W moved by the first uncertainty component,
-    so that scenario_costs prices no path from a basis pool."""
+def expected_method(tree) -> str:
+    """The method _solve_grouping should pick for a constant-recourse tree,
+    counted from the paths: "core" when some non-leaf node below the root
+    has one distinct leaf below it, while the tree shares a prefix."""
+    counts = tree.node_counts()
+    if counts[0] == counts[-1]:
+        return "generated"
+    leaf = tree.path_to_node[:, -1]
+    for level in range(tree.n_stages - 1):
+        pairs = np.unique(np.column_stack([tree.path_to_node[:, level], leaf]), axis=0)
+        if np.any(np.bincount(pairs[:, 0]) == 1):
+            return "core"
+    return "monolithic"
+
+
+def uncertain_recourse(problem, scale=0.05):
+    """The model with stage 2's W moved by scale times the first uncertainty
+    component, so that scenario_costs prices no path from a basis pool."""
     blk = problem.stage_block(2)
-    W = AffineMap(blk.W.base, ((0, np.full(blk.W.shape, 0.05)),))
+    W = AffineMap(blk.W.base, ((0, np.full(blk.W.shape, scale)),))
     return MultistageRobustLP(problem.dims, problem.A, problem.h1, problem.c1, problem.senses1,
                               (StageBlock(blk.T, W, blk.h, blk.c, blk.senses),
                                *problem.stages[1:]),
@@ -130,7 +146,7 @@ def test_builtin_masters_match_monolithic():
     assert_matches_monolithic(problem, draw_paths(problem.uncertainty, 63, [63, 4]), "builtin")
 
 
-def test_shared_prefixes_take_the_monolithic_solve(caplog):
+def test_shared_prefixes_take_the_core_method(caplog):
     # generation over single paths stops at 1593.24 here: leaves below one
     # stage-1 node share certificates, which per-path pricing ignores
     problem = inventory_benchmark(5, "integer")
@@ -140,10 +156,102 @@ def test_shared_prefixes_take_the_monolithic_solve(caplog):
     assert value == pytest.approx(1644.23, abs=5e-3)
     tree = build_prefix_tree(paths)
     lp, _ = build_swc(problem, tree)
-    assert solve_record(caplog) == {"method": "monolithic", "rounds": 1,
-                                    "leaves": tree.node_counts()[-1], "rows": lp.nrows,
-                                    "cols": lp.ncols, "iterations": res.iterations}
+    stats = solve_record(caplog)
+    assert stats["method"] == "core" and stats["leaves"] == tree.node_counts()[-1]
+    assert stats["iterations"] == res.iterations > 0
+    # 45 shared stage-1 nodes, a few hundred shared stage-2 nodes
+    assert stats["core"][0] == 45 and 0 < stats["core"][1] < tree.node_counts()[1]
+    assert stats["optimality_cuts"] > 0 and stats["feasibility_cuts"] > 0
+    assert stats["solved"] + stats["certified"] == stats["rounds"] * tree.node_counts()[-1]
+    assert stats["rows"] < lp.nrows / 4 and stats["cols"] < lp.ncols / 4
+    record = [r for r in caplog.records if hasattr(r, "solve_swc")][0]
+    assert record.getMessage() == (
+        f"solve_swc: core, {stats['rounds']} rounds, {stats['leaves']} leaves, "
+        f"master {stats['rows']} x {stats['cols']}, {res.iterations} iterations, "
+        f"core nodes {stats['core']}, cuts {stats['optimality_cuts']} optimality + "
+        f"{stats['feasibility_cuts']} feasibility, tails {stats['solved']} solved + "
+        f"{stats['certified']} certified")
     assert len(res.x) == lp.ncols
+
+
+@pytest.mark.parametrize("case, method", [("unshared", "generated"), ("ro", "monolithic"),
+                                          ("uncertain", "monolithic")])
+def test_routing(case, method, caplog):
+    integer = inventory_benchmark(5, "integer")
+    continuous = inventory_benchmark(5)
+    problem, grouping = {
+        "unshared": (continuous, build_prefix_tree(draw_paths(continuous.uncertainty, 189,
+                                                              [11, 0]))),
+        "ro": (integer, build_prefix_tree(vertex_paths(integer.uncertainty))),
+        "uncertain": (uncertain_recourse(integer, 1e-4),
+                      build_prefix_tree(draw_paths(integer.uncertainty, 189, [11, 0]))),
+    }[case]
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        res = _solve_grouping(problem, grouping, HIGHS)
+    assert solve_record(caplog)["method"] == method
+    lp, _ = build_swc(problem, grouping)
+    oracle = require_optimal(HIGHS(lp))
+    assert abs(res.objective - oracle.objective) <= 1e-7 * abs(oracle.objective)
+
+
+@pytest.mark.parametrize("H, N", [(3, 189), (4, 189), (5, 1884)])
+@pytest.mark.parametrize("seed", [[11, 0], [1001, 0], [63, 4]])
+def test_integer_core_matches_monolithic(H, N, seed):
+    problem = inventory_benchmark(H, "integer")
+    _, stats = assert_matches_monolithic(problem, draw_paths(problem.uncertainty, N, seed),
+                                         method="core")
+    if H >= 4:  # the first master leaves commitment states past their bounds
+        assert stats["feasibility_cuts"] > 0
+
+
+def test_builtin_core_matches_monolithic():
+    # masters, tail stacks and phase-1 solves on the builtin simplex
+    problem = inventory_benchmark(5, "integer")
+    _, stats = assert_matches_monolithic(problem, draw_paths(problem.uncertainty, 63, [63, 4]),
+                                         "builtin", method="core")
+    assert stats["rounds"] >= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(3, 4),
+    N=st.integers(4, 30),
+    free=st.booleans(),
+    degenerate=st.booleans(),
+)
+def test_random_shared_models_match_monolithic(seed, H, N, free, degenerate):
+    # discrete supports of three points per stage, so prefixes are shared;
+    # the random right-hand sides leave some tails infeasible at a master
+    rng = np.random.default_rng(seed)
+    problem, _ = constant_recourse_problem(rng, H, free, degenerate, discrete=True)
+    paths = draw_paths(problem.uncertainty, N, [seed, 0])
+    try:
+        monolithic(problem, paths)
+    except SolverError:
+        with pytest.raises(SolverError):
+            solve_swc_paths(problem, paths)
+        return
+    assert_matches_monolithic(problem, paths, method=expected_method(build_prefix_tree(paths)))
+
+
+def test_random_shared_models_meet_infeasible_tails():
+    # four-stage random models on a dozen paths: several take the core
+    # method with feasibility cuts
+    seen = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        problem, _ = constant_recourse_problem(rng, 4, False, False, discrete=True)
+        paths = draw_paths(problem.uncertainty, 12, [seed, 0])
+        if expected_method(build_prefix_tree(paths)) != "core":
+            continue
+        try:
+            monolithic(problem, paths)
+        except SolverError:
+            continue
+        _, stats = assert_matches_monolithic(problem, paths, method="core")
+        seen += stats["feasibility_cuts"] > 0
+    assert seen >= 3
 
 
 def test_reach_at_eps_0_001():

@@ -188,26 +188,43 @@ def test_debug_record_counts_an_infeasible_path(caplog):
     assert costs[-1] == np.inf
     stats = pool_record(caplog)
     # the first stack of 32 feeds the pool, which prices the other 7 feasible paths;
-    # the infeasible path is solved alone and then once more by the fallback
+    # the infeasible path is a one-path stack, and its status is the path's
     assert stats == {"paths": 40, "solved": 33, "certified": 7, "kept": stats["kept"],
-                     "rejected": 0, "fallback": {"infeasible": 1}}
+                     "rejected": 0, "solves": 2, "failed": {"infeasible": 1}}
     assert stats["kept"] >= 1
     assert "40 paths, 33 solved, 7 certified" in caplog.records[-1].getMessage()
 
 
-def test_fallback_solves_feed_the_pool(caplog):
-    # every tenth path is infeasible, so every stack falls back to per-path
-    # solves; their optimal solutions still give the pool its basis
+def test_split_stacks_feed_both_pools(caplog):
+    # every tenth path is infeasible, so the first stack fails and is split in
+    # halves down to path 0 (infeasible) and path 1 (optimal).  Path 0's
+    # elastic phase 1 certifies every other infeasible path, and path 1's
+    # basis prices every feasible one.
     problem = infeasible_tail_problem()
     xi = np.resize([-1.0, 1.0, 2.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0], 2000)
     with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
         costs = scenario_costs(problem, ScenarioPaths(xi[:, None], (1,)), x1=np.array([0.5]))
     np.testing.assert_array_equal(costs, np.where(xi < 0, np.inf, xi))
     stats = pool_record(caplog)
-    # the first stack's 28 feasible paths are solved one by one and price the
-    # other 1772; only the 200 infeasible paths are solved after that
-    assert stats["certified"] == 1772 and stats["solved"] == 228
-    assert stats["fallback"] == {"optimal": 28, "infeasible": 200}
+    # stacks of 32, 16, 8, 4, 2, then path 0, its phase 1 and path 1
+    assert stats["solves"] == 8 and stats["solved"] == 2 and stats["certified"] == 1998
+    assert stats["failed"] == {"infeasible": 1} and stats["rejected"] == 0
+
+
+def test_sparse_infeasible_paths_match_oracle(caplog):
+    # 1% of the paths infeasible at x1, scattered over the stacks; the oracle
+    # solves each path alone after its one failed stack
+    problem = infeasible_tail_problem()
+    rng = np.random.default_rng(0)
+    xi = rng.choice([1.0, 2.0, 3.0], 1000)
+    xi[rng.choice(1000, 10, replace=False)] = -1.0
+    paths, x1 = ScenarioPaths(xi[:, None], (1,)), np.array([0.5])
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(problem, paths, x1=x1)
+    oracle = oracles.scenario_costs(problem, paths, x1=x1)
+    assert np.count_nonzero(oracle == np.inf) == 10
+    assert_matches_oracle(costs, oracle, 1.0)
+    assert pool_record(caplog)["solves"] < 20
 
 
 def test_zero_solutions_fail_the_self_check(caplog):
