@@ -22,6 +22,8 @@ which picks one of three exact methods by the tree's shape:
   and c are constant and some non-leaf node has a single leaf below it: a
   master over the shared nodes' certificates, with every leaf's unshared
   tail entering as optimality and feasibility cuts priced on basis pools;
+  the master is an lp.GrowingLP, so on HiGHS each round's cuts are added
+  to one model and re-solved from its last basis;
 * one solve of the whole LP otherwise (uncertain T, W or c, a tree whose
   every non-leaf node is shared such as the RO vertex tree), and whenever
   one of the methods above meets an unbounded tail.
@@ -36,11 +38,12 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LPInstance, SolveResult, SolverError, Status, get_solver, require_optimal
+from .lp import (GrowingLP, LPInstance, SolveResult, SolverError, Status, get_solver,
+                 require_optimal)
 from .model import (EQ, GE, LE, DiscreteSupport, MultistageRobustLP, ScenarioPath, ScenarioPaths,
                     UncertaintySet, validate)
 from .sampling import ScenarioPrefixTree, build_prefix_tree
@@ -716,7 +719,8 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
     method, rounds, leaves, the last master's rows and columns and the
     summed master iterations; a core solve adds its core nodes per stage,
     its optimality and feasibility cuts, and the tails solved and certified
-    by pricing (all also as the record's `solve_swc` dict).
+    by pricing (all also as the record's `solve_swc` dict, where a core
+    solve also lists the master's iterations per round, master_iterations).
     """
     K = grouping.node_counts()
     found = None
@@ -813,23 +817,6 @@ def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: li
     return lp.build(), starts
 
 
-def _with_cuts(lp: LPInstance, cuts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> LPInstance:
-    """lp with <= rows appended, given as blocks of (columns (q, w), values
-    (q, w), right-hand sides (q,))."""
-    if not cuts:
-        return lp
-    cols, vals, rhs = zip(*cuts)
-    counts = np.concatenate([np.full(len(b), c.shape[1]) for c, b in zip(cols, rhs)])
-    return replace(
-        lp,
-        indptr=np.concatenate([lp.indptr, lp.indptr[-1] + np.cumsum(counts)]),
-        indices=np.concatenate([lp.indices, *(c.ravel() for c in cols)]),
-        data=np.concatenate([lp.data, *(v.ravel() for v in vals)]),
-        senses=lp.senses + (LE,) * counts.size,
-        rhs=np.concatenate([lp.rhs, *rhs]),
-    )
-
-
 def _tail_duals(pool: "_BasisPool | None", B: np.ndarray, solve) -> np.ndarray | None:
     """Optimal dual vectors of the pool's LP at the right-hand sides B (K,
     m): from the pooled basis that prices a row, else from a solve of the
@@ -856,9 +843,10 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     core of a shared grouping with constant T, W and c.
 
     The master (_core_master) holds gamma, x1 and the core nodes'
-    certificates.  A leaf whose deepest core node is at level d has an
-    unshared tail: its certificates of stages d+2..H, which no other leaf
-    uses.  So the whole LP is the master plus, per leaf, c1'x1 + its core
+    certificates; it is a GrowingLP, so on HiGHS every round re-solves one
+    model from its last basis after the round's cuts.  A leaf whose deepest
+    core node is at level d has an unshared tail: its certificates of
+    stages d+2..H, which no other leaf uses.  So the whole LP is the master plus, per leaf, c1'x1 + its core
     ancestors' costs + Q(b) <= gamma, with Q the optimal tail cost at
     right-hand side b = b(xi, x_d) (x_d the state at its deepest core node,
     x1 when d = 0).  The tail LPs of one depth share A and c, so each depth
@@ -901,13 +889,12 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                                    *(problem.stage_block(t).c.base for t in range(2, d + 2))])
             groups.append((d, g, cols, coef))
     pools = [{} for _ in range(S)]
-    cuts, seen, tails = [], set(), []
-    rounds = iterations = 0
+    seen, tails, master_iterations = set(), [], []
+    lp = GrowingLP(master, solve)
     counts = Counter()
     while True:
-        lp = _with_cuts(master, cuts)
-        res = require_optimal(solve(lp), "swc core master")
-        rounds, iterations = rounds + 1, iterations + res.iterations
+        res = require_optimal(lp.solve(), "swc core master")
+        master_iterations.append(res.iterations)
         gamma, added, tails = float(res.x[0]), 0, []
         for d, g, cols, coef in groups:
             s, ns = d + 2, n[d]
@@ -939,10 +926,9 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                 if kind == "optimal":
                     vals = np.tile(coef, (idx.size, 1))
                     vals[:, -ns:] -= Y[:, : T.shape[0]] @ T
-                    cuts.append((cols[idx], vals, -np.sum(Y * h, axis=1)))
+                    lp.add_rows(cols[idx], vals, -np.sum(Y * h, axis=1))
                 else:
-                    cuts.append((cols[idx, -ns:], -Y[:, : T.shape[0]] @ T,
-                                 -np.sum(Y * h, axis=1)))
+                    lp.add_rows(cols[idx, -ns:], -Y[:, : T.shape[0]] @ T, -np.sum(Y * h, axis=1))
                 counts[kind] += idx.size
                 added += idx.size
         if not added:
@@ -962,9 +948,11 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             node = anc[level - 1][g]
             x[_span(col0[level - 1] + n[level] * node, n[level])] = Z[:, off : off + n[level]].ravel()
             off += n[level]
+    iterations = sum(master_iterations)
     result = SolveResult(Status.OPTIMAL, gamma, x, iterations, time.perf_counter() - t0)
-    return result, {"method": "core", "rounds": rounds, "leaves": K[-1], "rows": lp.nrows,
-                    "cols": lp.ncols, "iterations": iterations,
+    return result, {"method": "core", "rounds": len(master_iterations), "leaves": K[-1],
+                    "rows": lp.nrows, "cols": lp.ncols, "iterations": iterations,
+                    "master_iterations": master_iterations,
                     "core": [int(c.sum()) for c in core],
                     "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["phase1"],
                     "solved": counts["solved"], "certified": counts["certified"]}

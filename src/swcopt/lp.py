@@ -2,14 +2,21 @@
 
 An LPInstance holds a minimization problem with per-variable bounds and
 sparse constraint rows tagged <=, = or >=.  Solvers: the self-contained
-two-phase simplex (simplex.solve_builtin), scipy's HiGHS wrapper here, and
+two-phase simplex (simplex.solve_builtin), HiGHS here (solve_highs), and
 the external subprocess adapter (interchange.solve_external).
+
+solve_highs calls the HiGHS binding that scipy bundles
+(scipy.optimize._highspy._core), the one linprog(method="highs") calls,
+with the model and options linprog would pass, so its results are
+linprog's bit for bit.  GrowingLP is an LP that gains <= rows between
+solves; on HiGHS it keeps one model, so a re-solve after added rows starts
+from the last basis.
 """
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,33 +176,159 @@ class LPInstance:
                 A[eq] if eq.any() else None, self.rhs[eq])
 
 
-def solve_highs(lp: LPInstance) -> SolveResult:
-    """Solve through scipy's HiGHS interface; deterministic for fixed input."""
-    from scipy.optimize import linprog
+HIGHS_SCIPY = "1.17"  # the oldest scipy release known to ship the binding solve_highs calls
 
-    t0 = time.perf_counter()
+#: HiGHS model status -> Status, as linprog(method="highs") maps them; any
+#: other model status (kUnboundedOrInfeasible among them) is a SolverError
+_HIGHS_STATUS = {
+    "kOptimal": Status.OPTIMAL,
+    "kInfeasible": Status.INFEASIBLE,
+    "kModelError": Status.INFEASIBLE,
+    "kUnbounded": Status.UNBOUNDED,
+    "kIterationLimit": Status.ITERATION_LIMIT,
+    "kTimeLimit": Status.ITERATION_LIMIT,
+}
+
+
+def _highs_core():
+    """scipy's bundled HiGHS binding, the one linprog(method="highs") calls."""
+    try:
+        from scipy.optimize._highspy import _core
+
+        _core._Highs.addRows
+    except (ImportError, AttributeError) as exc:
+        import scipy
+
+        raise SolverError(f"solve_highs needs scipy >= {HIGHS_SCIPY}, whose "
+                          f"scipy.optimize._highspy._core has _Highs.addRows; "
+                          f"found scipy {scipy.__version__}") from exc
+    return _core
+
+
+def _load_highs(lp: LPInstance):
+    """A HiGHS instance holding lp as linprog(method="highs") passes it:
+    to_scipy's rows (<= and negated >= rows, then = rows) column-wise, and
+    linprog's options (presolve, dual simplex, no output).  Inputs linprog
+    refuses raise ValueError: no columns, or inf or nan in the objective,
+    the matrix or the right-hand sides; nan bounds, which linprog would
+    read as absent, are refused too."""
+    if lp.ncols == 0:
+        raise ValueError("an LP needs at least one column")
+    for what, values in (("objective", lp.obj), ("matrix", lp.data), ("right-hand side", lp.rhs)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"LP {what} must not contain inf or nan")
+    if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
+        raise ValueError("LP bounds must not contain nan")
+    from scipy import sparse
+
+    core = _highs_core()
     A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
-    res = linprog(
-        lp.obj,
-        A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-        A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-    )
-    elapsed = time.perf_counter() - t0
-    nit = int(getattr(res, "nit", 0) or 0)
-    if res.status == 0:
-        return SolveResult(Status.OPTIMAL, float(res.fun), np.asarray(res.x), nit, elapsed)
-    if res.status == 2:
-        return SolveResult(Status.INFEASIBLE, None, None, nit, elapsed)
-    if res.status == 3:
-        return SolveResult(Status.UNBOUNDED, None, None, nit, elapsed)
-    if res.status == 1:
-        return SolveResult(Status.ITERATION_LIMIT, None, None, nit, elapsed)
-    raise SolverError(f"HiGHS failed: {res.message}")
+    parts = [A for A in (A_ub, A_eq) if A is not None]
+    A = sparse.vstack(parts, format="csc") if parts else sparse.csc_matrix((0, lp.ncols))
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.ncols
+    model.num_row_ = model.a_matrix_.num_row_ = lp.nrows
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.col_cost_ = lp.obj
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = core._Highs()
+    highs.passOptions(options)
+    loaded = highs.passModel(model) != core.HighsStatus.kError
+    return highs, loaded
+
+
+def _run_highs(highs, loaded: bool) -> SolveResult:
+    """Run HiGHS on its model (from its last basis, if it has one) and read
+    the result as linprog does; a model that failed to load is infeasible."""
+    core = _highs_core()
+    t0 = time.perf_counter()
+    if not loaded:
+        return SolveResult(Status.INFEASIBLE, None, None, 0, time.perf_counter() - t0)
+    ran = highs.run() != core.HighsStatus.kError
+    model_status = highs.getModelStatus()
+    status = _HIGHS_STATUS.get(model_status.name)
+    if status is None or (status is Status.OPTIMAL and not ran):
+        raise SolverError(f"HiGHS failed: {highs.modelStatusToString(model_status)}")
+    info = highs.getInfo()
+    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
+    if status is not Status.OPTIMAL:
+        return SolveResult(status, None, None, nit, time.perf_counter() - t0)
+    x = np.array(highs.getSolution().col_value)
+    return SolveResult(status, float(info.objective_function_value), x, nit,
+                       time.perf_counter() - t0)
+
+
+def solve_highs(lp: LPInstance) -> SolveResult:
+    """Solve with scipy's bundled HiGHS, called directly: the model, options
+    and status mapping of linprog(method="highs"), so the same x, objective
+    and iteration count, without linprog's input checks, copies and dual
+    read-out; deterministic for fixed input."""
+    t0 = time.perf_counter()
+    res = _run_highs(*_load_highs(lp))
+    return replace(res, time_s=time.perf_counter() - t0)
 
 
 SolverFn = Callable[[LPInstance], SolveResult]
+
+
+class GrowingLP:
+    """An LP that gains <= rows between solves, as an L-shaped master gains
+    cuts.  With solve_highs it keeps one HiGHS model: the rows go to it by
+    addRows, and each solve restarts HiGHS from its last basis, so the dual
+    simplex only works off the rows added since.  With any other solver each
+    solve solves the LP with every row added so far.  The first solve is
+    the solver's solve of the LP as given either way."""
+
+    def __init__(self, lp: LPInstance, solve: SolverFn):
+        self._lp, self._solve, self._rows = lp, solve, []
+        # compared at call time, so a solve_highs wrapped in place keeps this route
+        self._highs = _load_highs(lp) if solve is solve_highs else None
+        self.nrows, self.ncols = lp.nrows, lp.ncols
+
+    def add_rows(self, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> None:
+        """Append the rows vals[i] @ x[cols[i]] <= rhs[i]; cols and vals are
+        (q, w), rhs is (q,)."""
+        self._rows.append((cols, vals, rhs))
+        self.nrows += len(rhs)
+
+    def solve(self) -> SolveResult:
+        rows, self._rows = self._rows, []
+        if rows:
+            cols, vals, rhs = zip(*rows)
+            counts = np.concatenate([np.full(len(b), c.shape[1]) for c, b in zip(cols, rhs)])
+            indices = np.concatenate([c.ravel() for c in cols])
+            data, rhs = np.concatenate([v.ravel() for v in vals]), np.concatenate(rhs)
+            if not (np.isfinite(data).all() and np.isfinite(rhs).all()):
+                raise ValueError("added rows must not contain inf or nan")
+        if self._highs is None:
+            if rows:
+                lp = self._lp
+                self._lp = replace(
+                    lp, indptr=np.concatenate([lp.indptr, lp.indptr[-1] + np.cumsum(counts)]),
+                    indices=np.concatenate([lp.indices, indices]),
+                    data=np.concatenate([lp.data, data]), senses=lp.senses + (LE,) * rhs.size,
+                    rhs=np.concatenate([lp.rhs, rhs]))
+            return self._solve(self._lp)
+        highs, loaded = self._highs
+        if rows and loaded:
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int32)
+            added = highs.addRows(rhs.size, np.full(rhs.size, -np.inf), rhs, data.size, starts,
+                                  indices.astype(np.int32), data)
+            if added == _highs_core().HighsStatus.kError:
+                raise SolverError("HiGHS refused the added rows")
+        return _run_highs(highs, loaded)
 
 
 def get_solver(spec: "str | SolverFn | None" = None) -> SolverFn:

@@ -653,6 +653,32 @@ def to_scipy(lp: LPInstance):
     return A_ub, np.array(b_ub), A_eq, np.array(b_eq)
 
 
+def linprog_highs(lp: LPInstance):
+    """lp solved through scipy.optimize.linprog(method="highs"), as
+    solve_highs did before it called scipy's HiGHS binding directly; returns
+    (Status, objective, x, iterations) and raises SolverError where linprog
+    reports any other status (4: HiGHS failed, or an optimum that fails
+    linprog's own feasibility check)."""
+    from scipy.optimize import linprog
+
+    A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+    res = linprog(
+        lp.obj,
+        A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
+        A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+    )
+    status = {0: Status.OPTIMAL, 1: Status.ITERATION_LIMIT, 2: Status.INFEASIBLE,
+              3: Status.UNBOUNDED}.get(res.status)
+    if status is None:
+        raise SolverError(f"HiGHS failed: {res.message}")
+    nit = int(getattr(res, "nit", 0) or 0)
+    if status is not Status.OPTIMAL:
+        return status, None, None, nit
+    return status, float(res.fun), np.asarray(res.x), nit
+
+
 # ---------------------------------------------------------------------------
 # row-wise reference standardization
 #

@@ -20,7 +20,7 @@ from swcopt.builders import (_solve_grouping, build_swc, exact_value, hybrid_pat
                              relaxed_grouping, scenario_costs, solve_swc_paths, swct_value,
                              vertex_paths)
 from swcopt.inventory import inventory_benchmark
-from swcopt.lp import SolverError, get_solver, require_optimal
+from swcopt.lp import SolverError, get_solver, require_optimal, solve_highs
 from swcopt.model import (GE, AffineMap, DiscreteSupport, MultistageRobustLP, StageBlock,
                           StageDims, UncertaintySet)
 from swcopt.sampling import build_prefix_tree, draw_paths
@@ -159,6 +159,8 @@ def test_shared_prefixes_take_the_core_method(caplog):
     stats = solve_record(caplog)
     assert stats["method"] == "core" and stats["leaves"] == tree.node_counts()[-1]
     assert stats["iterations"] == res.iterations > 0
+    assert len(stats["master_iterations"]) == stats["rounds"]
+    assert sum(stats["master_iterations"]) == res.iterations
     # 45 shared stage-1 nodes, a few hundred shared stage-2 nodes
     assert stats["core"][0] == 45 and 0 < stats["core"][1] < tree.node_counts()[1]
     assert stats["optimality_cuts"] > 0 and stats["feasibility_cuts"] > 0
@@ -194,12 +196,17 @@ def test_routing(case, method, caplog):
     assert abs(res.objective - oracle.objective) <= 1e-7 * abs(oracle.objective)
 
 
-@pytest.mark.parametrize("H, N", [(3, 189), (4, 189), (5, 1884)])
+@pytest.mark.parametrize("H, N, route", [
+    pytest.param(H, N, route, id=f"{H}-{N}" + ("-cold" if route == "cold" else ""))
+    for route in ("warm", "cold") for H, N in [(3, 189), (4, 189), (5, 1884)]])
 @pytest.mark.parametrize("seed", [[11, 0], [1001, 0], [63, 4]])
-def test_integer_core_matches_monolithic(H, N, seed):
+def test_integer_core_matches_monolithic(H, N, seed, route):
+    # warm: one HiGHS model gains each round's cuts; cold: a solver that is
+    # not solve_highs, so every master is solved whole
     problem = inventory_benchmark(H, "integer")
+    solver = "highs" if route == "warm" else (lambda lp: solve_highs(lp))
     _, stats = assert_matches_monolithic(problem, draw_paths(problem.uncertainty, N, seed),
-                                         method="core")
+                                         solver, method="core")
     if H >= 4:  # the first master leaves commitment states past their bounds
         assert stats["feasibility_cuts"] > 0
 

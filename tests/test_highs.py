@@ -1,0 +1,184 @@
+"""solve_highs, scipy's bundled HiGHS called directly, against
+linprog(method="highs"), and GrowingLP's warm and cold routes."""
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.optimize._highspy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import linprog_highs, random_lp
+from swcopt import lp as lp_module
+from swcopt.builders import solve_swc_paths, sws_value, swct_value
+from swcopt.inventory import inventory_benchmark
+from swcopt.lp import GrowingLP, LPBuilder, SolverError, Status, get_solver, solve_highs
+from swcopt.sampling import draw_paths
+from swcopt.validation import empirical_violation
+from test_simplex import small_lps
+
+
+def assert_same_as_linprog(lp):
+    """Equal status and iterations, and bit-equal x and objective."""
+    try:
+        status, objective, x, iterations = linprog_highs(lp)
+    except SolverError:
+        with pytest.raises(SolverError):
+            solve_highs(lp)
+        return None
+    res = solve_highs(lp)
+    assert res.status is status
+    assert res.iterations == iterations
+    if status is Status.OPTIMAL:
+        assert res.objective == objective
+        assert np.array_equal(res.x, x)
+    else:
+        assert res.objective is None and res.x is None
+    return status
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_direct_call_matches_linprog(lp):
+    # <=, = and >= rows, free, fixed and bounded columns, no rows at all,
+    # repeated columns in a row and explicit zeros
+    assert_same_as_linprog(lp)
+
+
+def test_random_lps_of_every_status_match_linprog():
+    rng = np.random.default_rng(2024)
+    seen = {assert_same_as_linprog(random_lp(rng)) for _ in range(200)}
+    assert {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED} <= seen
+
+
+def test_every_lp_of_an_integer_instance_matches_linprog():
+    # the LPs one benchmark instance with bounds solves; the recording
+    # solver is not solve_highs, so the core master is re-solved whole
+    problem = inventory_benchmark(5, "integer")
+    paths = draw_paths(problem.uncertainty, 1884, [11, 0])
+    lps = []
+
+    def record(lp):
+        lps.append(lp)
+        return solve_highs(lp)
+
+    _, x1, gamma, _ = solve_swc_paths(problem, paths, record)
+    empirical_violation(problem, x1, gamma, L=1, N=300, seed=[11, 1], solver=record)
+    sws_value(problem, paths, record)
+    swct_value(problem, paths.values[:, :1], record)
+    assert len(lps) > 20 and max(lp.nrows for lp in lps) > 4000
+    # stacks of tails past their bounds are infeasible, and their elastic
+    # phase 1 is solved next
+    statuses = [assert_same_as_linprog(lp) for lp in lps]
+    assert set(statuses) == {Status.OPTIMAL, Status.INFEASIBLE}
+
+
+def _two_columns():
+    b = LPBuilder()
+    b.add_var(0.0, 4.0, -1.0)
+    b.add_var(-np.inf, np.inf, 1.0)
+    b.add_row([0, 1], [1.0, -1.0], "<=", 1.0)
+    b.add_row([1], [1.0], ">=", 0.5)
+    b.add_row([0, 1], [2.0, 1.0], "=", 3.0)
+    return b.build()
+
+
+@pytest.mark.parametrize("field", ["obj", "data", "rhs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_inputs_linprog_rejects_still_raise(field, value):
+    lp = _two_columns()
+    values = getattr(lp, field).copy()
+    values[0] = value
+    lp = replace(lp, **{field: values})
+    with pytest.raises(ValueError):
+        linprog_highs(lp)
+    with pytest.raises(ValueError, match="inf or nan"):
+        solve_highs(lp)
+
+
+def test_an_lp_without_columns_raises():
+    lp = LPBuilder().build()
+    with pytest.raises(ValueError):
+        linprog_highs(lp)
+    with pytest.raises(ValueError, match="column"):
+        solve_highs(lp)
+
+
+@pytest.mark.parametrize("lower, upper", [(2.0, 1.0), (np.inf, np.inf), (-np.inf, -np.inf)])
+def test_impossible_bounds_are_infeasible_on_both(lower, upper):
+    # linprog does not refuse them: HiGHS reports crossed bounds infeasible
+    # and an infinite bound on the wrong side a model error
+    lp = _two_columns()
+    lp = replace(lp, lower=np.array([lower, -np.inf]), upper=np.array([upper, np.inf]))
+    assert assert_same_as_linprog(lp) is Status.INFEASIBLE
+
+
+def test_nan_bounds_raise():
+    # linprog would read a nan bound as no bound
+    lp = _two_columns()
+    with pytest.raises(ValueError, match="nan"):
+        solve_highs(replace(lp, upper=np.array([np.nan, np.inf])))
+
+
+def test_a_scipy_without_the_binding_names_the_version_it_needs(monkeypatch):
+    monkeypatch.delattr(scipy.optimize._highspy, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(SolverError, match=f"scipy >= {lp_module.HIGHS_SCIPY}"):
+        solve_highs(_two_columns())
+
+
+@st.composite
+def lps_and_cuts(draw):
+    """An LP and blocks of <= rows over its columns, each block of one width."""
+    lp = draw(small_lps())
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        q, w = draw(st.integers(1, 3)), draw(st.integers(1, lp.ncols))
+        cols = np.array([draw(st.permutations(range(lp.ncols)))[:w] for _ in range(q)])
+        vals = np.array(draw(st.lists(st.floats(-5, 5), min_size=q * w, max_size=q * w)))
+        rhs = np.array(draw(st.lists(st.floats(-5, 5), min_size=q, max_size=q)))
+        blocks.append((cols, vals.reshape(q, w), rhs))
+    return lp, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(lps_and_cuts())
+def test_warm_rows_agree_with_cold_solves(case):
+    lp, blocks = case
+    warm, cold = GrowingLP(lp, solve_highs), GrowingLP(lp, lambda lp: solve_highs(lp))
+    first, whole = warm.solve(), cold.solve()
+    assert first.status is whole.status and first.iterations == whole.iterations
+    if first.status is Status.OPTIMAL:
+        assert first.objective == whole.objective and np.array_equal(first.x, whole.x)
+    for block in blocks:
+        warm.add_rows(*block)
+        cold.add_rows(*block)
+        res, oracle = warm.solve(), cold.solve()
+        assert warm.nrows == cold.nrows == cold._lp.nrows
+        assert res.status is oracle.status
+        if oracle.status is Status.OPTIMAL:
+            scale = max(1.0, abs(oracle.objective))
+            assert abs(res.objective - oracle.objective) <= 1e-7 * scale
+            assert cold._lp.max_violation(res.x) <= 1e-7 * scale
+
+
+def test_a_wrapped_solve_highs_keeps_the_warm_route(monkeypatch):
+    # the benchmark's tracer replaces solve_highs in place in every module
+    calls = []
+    original = lp_module.solve_highs
+
+    def wrapper(lp):
+        calls.append(lp)
+        return original(lp)
+
+    monkeypatch.setattr(lp_module, "solve_highs", wrapper)
+    lp = _two_columns()
+    block = (np.array([[0]]), np.array([[1.0]]), np.array([1.0]))  # x0 <= 1, binding
+    warm = GrowingLP(lp, get_solver("highs"))
+    warm.add_rows(*block)
+    assert warm.solve().objective == pytest.approx(0.0, abs=1e-9) and not calls
+    cold = GrowingLP(lp, lambda lp: wrapper(lp))
+    cold.add_rows(*block)
+    assert cold.solve().objective == pytest.approx(0.0, abs=1e-9)
+    assert len(calls) == 1 and calls[0].nrows == lp.nrows + 1

@@ -100,18 +100,38 @@ def test_solution_parser_rejects_garbage():
     assert infeasible.status is Status.INFEASIBLE
 
 
+def block_diagonal(lps):
+    """One LP whose k-th block of columns and rows is lps[k], with its
+    columns renamed b{k}_<name> so that names stay unique."""
+    b = LPBuilder()
+    for k, lp in enumerate(lps):
+        first = b.ncols
+        for j in range(lp.ncols):
+            b.add_var(lp.lower[j], lp.upper[j], lp.obj[j], f"b{k}_{lp.names[j]}")
+        for i in range(lp.nrows):
+            cols, vals = lp.row(i)
+            b.add_row(cols + first, vals, lp.senses[i], lp.rhs[i])
+    return b.build()
+
+
 def test_external_agreement_with_builtin():
+    # 30 random LPs; the optimal ones go to the worker as one block-diagonal
+    # LP, whose optimum is optimal in every block, the others one by one
     rng = np.random.default_rng(5150)
-    agreed = 0
-    for _ in range(30):
-        lp = random_lp(rng, 5, 4)
-        rb = solve_builtin(lp)
-        rx = solve_external(lp, WORKER_CMD)
-        assert rb.status is rx.status
-        if rb.status is Status.OPTIMAL:
-            assert rx.objective == pytest.approx(rb.objective, abs=1e-6)
-            agreed += 1
-    assert agreed >= 3
+    lps = [random_lp(rng, 5, 4) for _ in range(30)]
+    results = [solve_builtin(lp) for lp in lps]
+    for lp, rb in zip(lps, results):
+        if rb.status is not Status.OPTIMAL:
+            assert solve_external(lp, WORKER_CMD).status is rb.status
+    optimal = [(lp, rb) for lp, rb in zip(lps, results) if rb.status is Status.OPTIMAL]
+    assert len(optimal) == 16
+    rx = solve_external(block_diagonal([lp for lp, _ in optimal]), WORKER_CMD)
+    assert rx.status is Status.OPTIMAL
+    first = 0
+    for lp, rb in optimal:
+        block = rx.x[first : first + lp.ncols]
+        assert lp.obj @ block == pytest.approx(rb.objective, abs=1e-6)
+        first += lp.ncols
 
 
 def test_external_infeasible_status():
