@@ -717,10 +717,12 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: the
     method, rounds, leaves, the last master's rows and columns and the
-    summed master iterations; a core solve adds its core nodes per stage,
-    its optimality and feasibility cuts, and the tails solved and certified
-    by pricing (all also as the record's `solve_swc` dict, where a core
-    solve also lists the master's iterations per round, master_iterations).
+    summed master iterations; a generated solve adds the leaves solved and
+    certified by pricing over all rounds, a core solve its core nodes per
+    stage, its optimality and feasibility cuts, and the tails solved and
+    certified by pricing (all also as the record's `solve_swc` dict, where
+    a core solve also lists the master's iterations per round,
+    master_iterations).
     """
     K = grouping.node_counts()
     found = None
@@ -743,6 +745,8 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
         message += (", core nodes %(core)s, cuts %(optimality_cuts)d optimality + "
                     "%(feasibility_cuts)d feasibility, tails %(solved)d solved + "
                     "%(certified)d certified")
+    elif stats["method"] == "generated":
+        message += ", pricing %(solved)d solved + %(certified)d certified"
     log.debug(message, stats, extra={"solve_swc": stats})
     return res
 
@@ -754,24 +758,29 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     leaves (the first FIRST_LEAVES at the start), then every leaf priced at
     the master's x1 by scenario_costs' loop, adding the ADD_LEAVES most
     violated leaves outside the set (cost above gamma by more than
-    LEAF_TOL) until none is.  The master is a relaxation whose (x1, gamma)
-    ends feasible for every leaf, so its value is the LP's optimum; x holds
-    each leaf's recourse from the last pricing pass.  Each master is the
-    relaxed grouping of its working set, the same LP as its prefix tree
-    when no prefix is shared.  None when a leaf's recourse is unbounded at
-    the master's x1 (its budget row is slack, but no recourse vector comes
-    from pricing)."""
+    LEAF_TOL) until none is.  The leaves' recourse LPs share A and c in
+    every round, only b(xi, x1) moving with x1, so one pair of basis pools
+    is kept across the rounds, as _solve_core keeps its pools: a basis
+    found in round 1 prices the same leaf later without a solve.  The
+    master is a relaxation whose (x1, gamma) ends feasible for every leaf,
+    so its value is the LP's optimum; x holds each leaf's recourse from the
+    last pricing pass.  Each master is the relaxed grouping of its working
+    set, the same LP as its prefix tree when no prefix is shared.  None
+    when a leaf's recourse is unbounded at the master's x1 (its budget row
+    is slack, but no recourse vector comes from pricing)."""
     t0 = time.perf_counter()
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     work = np.arange(min(FIRST_LEAVES, len(leaves)))
     rounds = iterations = 0
+    pools, counts = {}, Counter()
     while True:
         lp, vmap = build_swc(problem, relaxed_grouping(ScenarioPaths(leaves.values[work],
                                                                      leaves.widths)))
         master = require_optimal(solve(lp), "swc master")
         rounds, iterations = rounds + 1, iterations + master.iterations
         x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])
-        cost, Z, _ = _path_costs(problem, leaves, solve, x1, recourse=True)
+        cost, Z, stats = _path_costs(problem, leaves, solve, x1, pools=pools, recourse=True)
+        counts.update(solved=stats["solved"], certified=stats["certified"])
         if np.any(cost == -np.inf):
             return None
         excess = (cost + float(problem.c1 @ x1)) - gamma
@@ -785,7 +794,8 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     x = np.concatenate([[gamma], x1, *(Z[:, a:b].ravel() for a, b in zip(cut[:-1], cut[1:]))])
     res = SolveResult(Status.OPTIMAL, gamma, x, iterations, time.perf_counter() - t0)
     return res, {"method": "generated", "rounds": rounds, "leaves": len(work), "rows": lp.nrows,
-                 "cols": lp.ncols, "iterations": iterations}
+                 "cols": lp.ncols, "iterations": iterations, "solved": counts["solved"],
+                 "certified": counts["certified"]}
 
 
 def _core_nodes(tree: ScenarioPrefixTree) -> list[np.ndarray]:

@@ -8,7 +8,11 @@ the external subprocess adapter (interchange.solve_external).
 solve_highs calls the HiGHS binding that scipy bundles
 (scipy.optimize._highspy._core), the one linprog(method="highs") calls,
 with the model and options linprog would pass, so its results are
-linprog's bit for bit.  GrowingLP is an LP that gains <= rows between
+linprog's bit for bit.  The model goes over as arrays: _colwise builds
+the column-wise matrix and row bounds linprog would build from
+to_scipy's parts, in one numpy pass, and the binding's array passModel
+reads them without a copy per element.  to_scipy stays as the oracle of
+that construction.  GrowingLP is an LP that gains <= rows between
 solves; on HiGHS it keeps one model, so a re-solve after added rows starts
 from the last basis.
 """
@@ -205,13 +209,41 @@ def _highs_core():
     return _core
 
 
+def _colwise(lp: LPInstance) -> tuple[np.ndarray, ...]:
+    """lp's rows as HiGHS's column-wise arrays (start, with ncols + 1
+    entries, index and value) and row bounds (lower, upper), in to_scipy's
+    row order: <= rows and negated >= rows, then = rows.  Entries are sorted
+    by column, then row; explicit zeros stay.  Repeated entries of a row are
+    summed by scipy's sum_duplicates, so in its order; without them, which
+    is the rule for the builders' LPs, all of it is one numpy pass."""
+    senses = np.asarray(lp.senses, dtype="<U2")
+    sign, eq = np.where(senses == GE, -1.0, 1.0), senses == EQ
+    perm = np.argsort(eq, kind="stable")  # to_scipy's rows, in order
+    row = np.empty(lp.nrows, np.int64)
+    row[perm] = np.arange(lp.nrows)
+    indices, data = lp.indices, lp.data * np.repeat(sign, np.diff(lp.indptr))
+    rows = np.repeat(row, np.diff(lp.indptr))
+    key = indices.astype(np.int64) * lp.nrows + rows
+    order = np.argsort(key)
+    if np.any(np.diff(key[order]) == 0):  # repeated entries
+        A = lp._csr(data)
+        A.sum_duplicates()
+        indices, data = A.indices, A.data
+        rows = np.repeat(row, np.diff(A.indptr))
+        order = np.argsort(indices.astype(np.int64) * lp.nrows + rows)
+    start = np.zeros(lp.ncols + 1, np.int64)
+    np.cumsum(np.bincount(indices, minlength=lp.ncols), out=start[1:])
+    upper = (sign * lp.rhs)[perm]
+    return start, rows[order], data[order], np.where(eq[perm], upper, -np.inf), upper
+
+
 def _load_highs(lp: LPInstance):
     """A HiGHS instance holding lp as linprog(method="highs") passes it:
-    to_scipy's rows (<= and negated >= rows, then = rows) column-wise, and
-    linprog's options (presolve, dual simplex, no output).  Inputs linprog
-    refuses raise ValueError: no columns, or inf or nan in the objective,
-    the matrix or the right-hand sides; nan bounds, which linprog would
-    read as absent, are refused too."""
+    to_scipy's rows (<= and negated >= rows, then = rows) column-wise, built
+    by _colwise and handed over as arrays, and linprog's options (presolve,
+    dual simplex, no output).  Inputs linprog refuses raise ValueError: no
+    columns, or inf or nan in the objective, the matrix or the right-hand
+    sides; nan bounds, which linprog would read as absent, are refused too."""
     if lp.ncols == 0:
         raise ValueError("an LP needs at least one column")
     for what, values in (("objective", lp.obj), ("matrix", lp.data), ("right-hand side", lp.rhs)):
@@ -219,24 +251,8 @@ def _load_highs(lp: LPInstance):
             raise ValueError(f"LP {what} must not contain inf or nan")
     if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
         raise ValueError("LP bounds must not contain nan")
-    from scipy import sparse
-
     core = _highs_core()
-    A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
-    parts = [A for A in (A_ub, A_eq) if A is not None]
-    A = sparse.vstack(parts, format="csc") if parts else sparse.csc_matrix((0, lp.ncols))
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.ncols
-    model.num_row_ = model.a_matrix_.num_row_ = lp.nrows
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.col_cost_ = lp.obj
-    model.col_lower_ = lp.lower
-    model.col_upper_ = lp.upper
-    model.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
-    model.row_upper_ = np.concatenate([b_ub, b_eq])
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
+    start, index, value, row_lower, row_upper = _colwise(lp)
     options = core.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
@@ -245,7 +261,12 @@ def _load_highs(lp: LPInstance):
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     highs = core._Highs()
     highs.passOptions(options)
-    loaded = highs.passModel(model) != core.HighsStatus.kError
+    # an empty integrality array is refused: all zeros reads as all continuous
+    loaded = highs.passModel(
+        lp.ncols, lp.nrows, value.size, int(core.MatrixFormat.kColwise),
+        int(core.ObjSense.kMinimize), 0.0, lp.obj, lp.lower, lp.upper, row_lower, row_upper,
+        start[:-1].astype(np.int32), index.astype(np.int32), value,
+        np.zeros(lp.ncols, np.int32)) != core.HighsStatus.kError
     return highs, loaded
 
 
@@ -287,14 +308,17 @@ class GrowingLP:
     """An LP that gains <= rows between solves, as an L-shaped master gains
     cuts.  With solve_highs it keeps one HiGHS model: the rows go to it by
     addRows, and each solve restarts HiGHS from its last basis, so the dual
-    simplex only works off the rows added since.  With any other solver each
-    solve solves the LP with every row added so far.  The first solve is
-    the solver's solve of the LP as given either way."""
+    simplex only works off the rows added since; a warm run that does not
+    end optimal is repeated cold, and the cold run's result is returned.
+    With any other solver each solve solves the LP with every row added so
+    far.  The first solve is the solver's solve of the LP as given either
+    way."""
 
     def __init__(self, lp: LPInstance, solve: SolverFn):
         self._lp, self._solve, self._rows = lp, solve, []
         # compared at call time, so a solve_highs wrapped in place keeps this route
         self._highs = _load_highs(lp) if solve is solve_highs else None
+        self._warm = False  # whether HiGHS has a last basis to restart from
         self.nrows, self.ncols = lp.nrows, lp.ncols
 
     def add_rows(self, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> None:
@@ -328,6 +352,17 @@ class GrowingLP:
                                   indices.astype(np.int32), data)
             if added == _highs_core().HighsStatus.kError:
                 raise SolverError("HiGHS refused the added rows")
+        if self._warm:
+            try:
+                res = _run_highs(highs, loaded)
+                if res.status is Status.OPTIMAL:
+                    return res
+            except SolverError:
+                pass
+            # a warm run can end wrong or in an unknown state after a solve
+            # that was not optimal, so a cold run decides any other outcome
+            highs.clearSolver()
+        self._warm = True
         return _run_highs(highs, loaded)
 
 

@@ -125,8 +125,9 @@ class ExperimentReport:
     n0: int
     base_seed: int
     errors: list[str] = field(default_factory=list)
-    # sampled-bound orderings that failed under first-component-shared draws;
-    # informational, since the three bounds see different scenario objects
+    # sampled-bound orderings that failed: sws <= swc (on the same draws, sws
+    # drops the certificates' nonanticipativity) and swct <= swc; sws and
+    # swct are not ordered, so they are not compared
     chain_flags: list[str] = field(default_factory=list)
 
     def rows_for(self, eps: float) -> list[InstanceResult]:
@@ -307,9 +308,9 @@ def run_experiment(
         if row.error is not None:
             errors.append(f"eps={row.eps:g} instance={row.index}: {row.error}")
         elif compute_bounds:
-            if row.sws > row.swct + 1e-6:
+            if row.sws > row.swc_value + 1e-6:
                 chain_flags.append(
-                    f"eps={row.eps:g} seed={row.seed}: sws {row.sws:.6f} > swct {row.swct:.6f}"
+                    f"eps={row.eps:g} seed={row.seed}: sws {row.sws:.6f} > swc {row.swc_value:.6f}"
                 )
             if row.swct > row.swc_value + 1e-6:
                 chain_flags.append(

@@ -284,10 +284,37 @@ def test_debug_record_of_a_generated_solve(caplog):
     assert 8 < stats["leaves"] <= 8 + 20 * (stats["rounds"] - 1)
     assert (stats["rows"], stats["cols"]) == (master.nrows, master.ncols)
     assert stats["iterations"] == res.iterations > 0
+    # every round prices every path, by a solve or on the kept basis pool
+    assert stats["solved"] + stats["certified"] == stats["rounds"] * len(paths)
     record = [r for r in caplog.records if hasattr(r, "solve_swc")][0]
     assert record.getMessage() == (
         f"solve_swc: generated, {stats['rounds']} rounds, {stats['leaves']} leaves, "
-        f"master {master.nrows} x {master.ncols}, {res.iterations} iterations")
+        f"master {master.nrows} x {master.ncols}, {res.iterations} iterations, "
+        f"pricing {stats['solved']} solved + {stats['certified']} certified")
+
+
+@pytest.mark.parametrize("variant, hybrid", [("continuous", False), ("integer", True)])
+@pytest.mark.parametrize("seed", [[11, 0], [3001, 0]])
+def test_generation_keeps_one_basis_pool_across_rounds(variant, hybrid, seed, caplog):
+    # the rounds' recourse LPs differ only in b(xi, x1), so the bases that
+    # round 1's solves leave in the pool price the same leaves in later rounds
+    problem = inventory_benchmark(5, variant)
+    paths = draw_paths(problem.uncertainty, 600 if hybrid else 1884, seed)
+    if hybrid:  # swct's tree: integer draws repeat and share a leaf
+        paths = hybrid_paths(problem.uncertainty, paths.values[:, :1])
+    tree = build_prefix_tree(paths)
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        res = _solve_grouping(problem, tree, HIGHS)
+    stats = solve_record(caplog)
+    rounds = [r.scenario_costs for r in caplog.records if hasattr(r, "scenario_costs")]
+    assert stats["method"] == "generated" and len(rounds) == stats["rounds"] >= 2
+    assert all(r["solves"] < rounds[0]["solves"] for r in rounds[1:])
+    assert stats["solved"] == sum(r["solved"] for r in rounds)
+    assert stats["certified"] == sum(r["certified"] for r in rounds)
+    _, oracle = monolithic(problem, paths)
+    assert abs(res.objective - oracle.objective) <= 1e-9 * abs(oracle.objective)
+    x1, expected = res.x[1 : 1 + problem.dims.n[0]], oracle.x[1 : 1 + problem.dims.n[0]]
+    assert np.all(np.abs(x1 - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
 
 
 @pytest.mark.parametrize("solver", ["highs", "builtin"])

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize._highspy
-from hypothesis import given, settings
+from scipy import sparse
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import linprog_highs, random_lp
 from swcopt import lp as lp_module
 from swcopt.builders import solve_swc_paths, sws_value, swct_value
 from swcopt.inventory import inventory_benchmark
-from swcopt.lp import GrowingLP, LPBuilder, SolverError, Status, get_solver, solve_highs
+from swcopt.lp import (GrowingLP, LPBuilder, SolverError, Status, _colwise, get_solver,
+                       solve_highs)
 from swcopt.sampling import draw_paths
 from swcopt.validation import empirical_violation
 from test_simplex import small_lps
@@ -52,7 +54,8 @@ def test_random_lps_of_every_status_match_linprog():
     assert {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED} <= seen
 
 
-def test_every_lp_of_an_integer_instance_matches_linprog():
+@pytest.fixture(scope="module")
+def integer_instance_lps():
     # the LPs one benchmark instance with bounds solves; the recording
     # solver is not solve_highs, so the core master is re-solved whole
     problem = inventory_benchmark(5, "integer")
@@ -67,11 +70,41 @@ def test_every_lp_of_an_integer_instance_matches_linprog():
     empirical_violation(problem, x1, gamma, L=1, N=300, seed=[11, 1], solver=record)
     sws_value(problem, paths, record)
     swct_value(problem, paths.values[:, :1], record)
+    return lps
+
+
+def test_every_lp_of_an_integer_instance_matches_linprog(integer_instance_lps):
+    lps = integer_instance_lps
     assert len(lps) > 20 and max(lp.nrows for lp in lps) > 4000
     # stacks of tails past their bounds are infeasible, and their elastic
     # phase 1 is solved next
     statuses = [assert_same_as_linprog(lp) for lp in lps]
     assert set(statuses) == {Status.OPTIMAL, Status.INFEASIBLE}
+
+
+def assert_same_colwise(lp):
+    """_colwise's arrays are bit for bit the column-wise matrix and row
+    bounds of to_scipy's parts stacked by scipy, as linprog stacks them."""
+    A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+    parts = [A for A in (A_ub, A_eq) if A is not None]
+    A = sparse.vstack(parts, format="csc") if parts else sparse.csc_matrix((0, lp.ncols))
+    start, index, value, row_lower, row_upper = _colwise(lp)
+    assert np.array_equal(start, A.indptr) and np.array_equal(index, A.indices)
+    assert value.tobytes() == A.data.astype(float).tobytes()
+    assert row_lower.tobytes() == np.concatenate([np.full(len(b_ub), -np.inf), b_eq]).tobytes()
+    assert row_upper.tobytes() == np.concatenate([b_ub, b_eq]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_colwise_arrays_match_scipy(lp):
+    # repeated columns in a row are summed in scipy's order, explicit zeros kept
+    assert_same_colwise(lp)
+
+
+def test_colwise_arrays_match_scipy_on_an_integer_instance(integer_instance_lps):
+    for lp in integer_instance_lps:
+        assert_same_colwise(lp)
 
 
 def _two_columns():
@@ -142,8 +175,27 @@ def lps_and_cuts(draw):
     return lp, blocks
 
 
+def _one_row_lp(lower=None, upper=None, obj=None):
+    """Six columns, free unless lower or upper ({column: bound}) says
+    otherwise, with costs obj ({column: cost}) and the single row x0 <= 0."""
+    b = LPBuilder()
+    for j in range(6):
+        b.add_var((lower or {}).get(j, -np.inf), (upper or {}).get(j, np.inf),
+                  (obj or {}).get(j, 0.0))
+    b.add_row([0], [1.0], "<=", 0.0)
+    return b.build()
+
+
 @settings(max_examples=150, deadline=None)
 @given(lps_and_cuts())
+# unbounded, then infeasible: the warm run repeated the unbounded status
+@example((_one_row_lp(obj={5: 1.0}),
+          [(np.array([[0]]), np.array([[-2.0]]), np.array([-1.1920929e-07]))]))
+# unbounded twice: the second warm run ended with HiGHS's model status unknown
+@example((_one_row_lp(lower={4: -2.0}, upper={3: -1.0}, obj={4: -1.0}),
+          [(np.array([[3, 4]]), np.array([[-1.0, -0.03125]]), np.array([0.0])),
+           (np.array([[0, 1], [0, 1], [3, 4]]), np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -0.5]]),
+            np.zeros(3))]))
 def test_warm_rows_agree_with_cold_solves(case):
     lp, blocks = case
     warm, cold = GrowingLP(lp, solve_highs), GrowingLP(lp, lambda lp: solve_highs(lp))

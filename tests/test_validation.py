@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from swcopt import validation
 from swcopt.builders import exact_value, solve_swc_paths, vertex_paths
 from swcopt.inventory import inventory_benchmark
 from swcopt.lp import SolverError, get_solver
@@ -161,17 +162,27 @@ def test_run_experiment_records_failures():
 
 def test_chain_flags_on_hybrid_tail_bound():
     # at five stages the deterministic-tail bound sits far below the sampled
-    # wait-and-see value, which the report flags rather than fails on
+    # wait-and-see value, which is no ordering; both bounds stay below swc
     problem = inventory_benchmark(5)
     report = run_experiment(
         problem, [0.3], 0.001, 2, base_seed=3, solver="highs",
         n0=4, L=1, validation_per_batch=20, compute_bounds=True,
     )
-    assert report.chain_flags
-    assert all("sws" in flag for flag in report.chain_flags)
-    # the certificate bound itself still dominates the relaxed one
+    assert report.chain_flags == []
     for r in report.rows_for(0.3):
-        assert r.swct <= r.swc_value + 1e-6
+        assert r.swct < r.sws <= r.swc_value + 1e-6
+
+
+def test_chain_flags_catch_a_sws_above_swc(monkeypatch):
+    monkeypatch.setattr(validation, "sws_value", lambda problem, paths, solver: (1e9, 0))
+    problem = inventory_benchmark(5)
+    report = run_experiment(
+        problem, [0.3], 0.001, 1, base_seed=3, solver="highs",
+        n0=4, L=1, validation_per_batch=20, compute_bounds=True,
+    )
+    row = report.rows[0]
+    assert report.chain_flags == [
+        f"eps=0.3 seed=3: sws 1000000000.000000 > swc {row.swc_value:.6f}"]
 
 
 def test_builtin_solver_runs_validation():
