@@ -26,7 +26,7 @@ which picks one of three exact methods by the tree's shape:
   to one model and re-solved from its last basis;
 * one solve of the whole LP otherwise (uncertain T, W or c, a tree whose
   every non-leaf node is shared such as the RO vertex tree), and whenever
-  one of the methods above meets an unbounded tail.
+  one of the methods above gives up (_solve_core lists why).
 
 Vertex-based exact references need worst cases at support vertices: true
 when T, W and c are constant (uncertainty only in h, as in the shipped
@@ -319,13 +319,15 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     When T, W and c of stages 2..H are constant, the paths' LPs differ only
     in their right-hand sides b(xi).  The first stack then holds FIRST_BATCH
     paths and each later one at most twice as many as the one before.  After
-    each solved stack the optimal bases of its paths that pass a self-check
-    join a pool (_BasisPool).  An unresolved path whose b(xi) keeps a pooled
-    basis primal feasible is optimal on that basis, and gets its cost
-    y'b(xi) without a solve.  A path found infeasible has its elastic phase
-    1 (_elastic) solved too, and those bases join a second pool: a path on
+    each solved stack, the solver's optimal basis (SolveResult.basis) is
+    split per path, and the bases that pass a self-check join a pool
+    (_BasisPool).  An unresolved path whose b(xi) keeps a pooled basis
+    primal feasible is optimal on that basis, and gets its cost y'b(xi)
+    without a solve.  A path found infeasible has its elastic phase 1
+    (_elastic) solved too, and those bases join a second pool: a path on
     which one of them is primal feasible with a positive value is
-    infeasible without a solve.  Other models solve every path.
+    infeasible without a solve.  Other models, and solvers that report no
+    basis (the external one), solve every path.
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
     paths solved and certified, bases kept and rejected, LP solves, and the
@@ -362,12 +364,12 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     failed = Counter()
     solved = solves = 0
 
-    def offer(kind: str, Z, X, st, cost) -> None:
+    def offer(kind: str, basis, X, st, cost) -> None:
         if kind not in pools:
             one = _separable_blocks(problem, ScenarioPaths(X[:1], paths.widths),
                                     _state_rows(st, [0]), s)[0]
             pools[kind] = _BasisPool(one if kind == "optimal" else _elastic(one))
-        pools[kind].harvest(Z, _path_rhs(problem, X, st, s), cost)
+        pools[kind].harvest(basis, _path_rhs(problem, X, st, s), cost)
 
     def recheck() -> None:
         for kind, pool in pools.items():
@@ -402,8 +404,8 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 solved += idx.size
                 if recourse:
                     sol[idx] = Z
-                if more:
-                    offer("optimal", Z, X, st, cost)
+                if more and res.basis is not None:  # None: the solver reports no basis
+                    offer("optimal", res.basis, X, st, cost)
             elif idx.size > 1:
                 half = idx.size // 2
                 pending += [idx[half:], idx[:half]]
@@ -415,8 +417,8 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 if infeasible and more:
                     phase1 = solve(_elastic(lp))
                     solves += 1
-                    if phase1.status is Status.OPTIMAL:
-                        offer("phase1", phase1.x[None], X, st, np.array([phase1.objective]))
+                    if phase1.basis is not None:
+                        offer("phase1", phase1.basis, X, st, np.array([phase1.objective]))
             else:
                 raise SolverError(f"scenario solve ended with {res.status.value}")
             if pooled:
@@ -471,45 +473,49 @@ def _certify(problem, paths, state, s, pool: "_BasisPool", first: int, todo: np.
 
 class _BasisPool:
     """Optimal bases of the per-path LP  min c'z  s.t.  A z = b,  z_j >= 0 for
-    the bounded j, when A and c are the same on every path and only b
-    varies: the stacked LP's block with one slack per inequality row
-    appended (its columns have lower bound 0 or -inf and no upper bound).
+    the bounded j and z_j = 0 for the fixed j, when A and c are the same on
+    every path and only b varies: the stacked LP's block (columns with
+    lower bound 0 or -inf and no upper bound) with one slack per row
+    appended, fixed at 0 on an = row.
 
     A basis B with dual-feasible y = c_B B^-1 is optimal for every b with
-    B^-1 b >= 0 on its bounded basic variables (its critical region), with
-    cost y'b and basic solution z_B = B^-1 b.  So a basis read off one
-    solved path prices every path in its region.  A basis joins the pool
-    only if B is square and nonsingular, y is dual feasible, and B^-1 b
-    reproduces its own path's cost; each test uses the relative tolerance
+    B^-1 b >= 0 on its bounded basic variables and = 0 on its fixed ones
+    (its critical region), with cost y'b and basic solution z_B = B^-1 b.
+    So the basis the solver ends on for one path (its block of
+    SolveResult.basis) prices every path in its region.  A basis joins the
+    pool only if B is square with a condition number of at most
+    1/POOL_TOL, y is dual feasible, b lies in the region and y'b
+    reproduces its own path's cost, each within the relative tolerance
     POOL_TOL."""
 
     def __init__(self, lp: LPInstance):
-        m = lp.nrows
-        self.M = np.zeros((m, lp.ncols))
-        np.add.at(self.M, (np.repeat(np.arange(m), np.diff(lp.indptr)), lp.indices), lp.data)
         senses = np.asarray(lp.senses, dtype="<U2")
-        self.ineq = np.flatnonzero(senses != EQ)
-        self.sign = np.where(senses[self.ineq] == LE, 1.0, -1.0)
-        S = np.zeros((m, self.ineq.size))
-        S[self.ineq, np.arange(self.ineq.size)] = self.sign
-        self.A = np.hstack([self.M, S])
-        self.c = np.concatenate([lp.obj, np.zeros(self.ineq.size)])
-        self.bounded = np.concatenate([np.isfinite(lp.lower), np.ones(self.ineq.size, bool)])
+        self.A = np.hstack([lp._csr().toarray(), np.diag(np.where(senses == GE, -1.0, 1.0))])
+        self.c = np.concatenate([lp.obj, np.zeros(lp.nrows)])
+        self.fixed = np.concatenate([np.zeros(lp.ncols, bool), senses == EQ])
+        self.bounded = np.concatenate([np.isfinite(lp.lower), senses != EQ])
         self.dual_tol = POOL_TOL * max(1.0, float(np.max(np.abs(self.c))))
-        self.n = lp.ncols
-        self.inverses: list[np.ndarray] = []  # rows of B^-1 of the bounded basic variables
+        self.n, self.m = lp.ncols, lp.nrows
+        # rows of B^-1 whose product with b must be >= 0: the bounded basic
+        # variables', and the fixed ones' with both signs
+        self.inverses: list[np.ndarray] = []
         self.duals: list[np.ndarray] = []     # y = c_B B^-1
         self.primal: list[tuple[np.ndarray, np.ndarray]] = []  # LP basic columns, their B^-1 rows
         self.rejected = 0
 
-    def harvest(self, X: np.ndarray, B: np.ndarray, costs: np.ndarray) -> None:
-        """Offer the basis of each solved path (solution row of X, right-hand
-        side row of B, cost), skipping paths that a basis kept in this call
+    def harvest(self, basis: np.ndarray, B: np.ndarray, costs: np.ndarray) -> None:
+        """Offer each path's block of a solved stack's basis (right-hand side
+        row of B, cost), skipping paths that a basis kept in this call
         already prices."""
-        left = np.arange(len(X))
+        col, row = basis[basis >= 0], -1 - basis[basis < 0]
+        block = np.concatenate([col // self.n, row // self.m])
+        local = np.concatenate([col % self.n, self.n + row % self.m])
+        order = np.lexsort((local, block))
+        bases = np.split(local[order], np.cumsum(np.bincount(block, minlength=len(B)))[:-1])
+        left = np.arange(len(B))
         while left.size:
             i, left = left[0], left[1:]
-            if self._offer(X[i], B[i], costs[i]):
+            if self._offer(bases[i], B[i], costs[i]):
                 left = left[self.price(B[left], len(self.duals) - 1)[0] < 0]
             else:
                 self.rejected += 1
@@ -537,68 +543,24 @@ class _BasisPool:
             Z[np.ix_(idx, cols)] = B[idx] @ rows.T
         return Z
 
-    def dual_lp(self, b: np.ndarray) -> LPInstance:
-        """The LP's dual at right-hand side b, as  min -b'y  s.t.  y'A_j <= c_j
-        (= for a free column j), y_i <= 0 on a <= row and >= 0 on a >= row.
-        Its optimal solutions are the LP's optimal dual vectors at b."""
-        m = self.M.shape[0]
-        lower, upper = np.full(m, -np.inf), np.full(m, np.inf)
-        upper[self.ineq[self.sign > 0]] = 0.0
-        lower[self.ineq[self.sign < 0]] = 0.0
-        rows, cols = np.nonzero(self.M.T)
-        return LPInstance(
-            ncols=m, lower=lower, upper=upper, obj=-b,
-            indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))]),
-            indices=cols, data=self.M.T[rows, cols],
-            senses=tuple(np.where(self.bounded[: self.n], LE, EQ).tolist()),
-            rhs=self.c[: self.n], names=tuple(f"y{i}" for i in range(m)))
-
-    def _offer(self, x: np.ndarray, b: np.ndarray, cost: float) -> bool:
-        # the vertex's nonzero variables, and every free one, come first; a
-        # degenerate vertex has fewer than m of them and needs completing
-        z = np.concatenate([x, self.sign * (b - self.M @ x)[self.ineq]])
-        support = ~self.bounded | (z > POOL_TOL * max(1.0, float(np.max(np.abs(z)))))
-        basis = self._basis(np.flatnonzero(support), np.flatnonzero(~support))
-        if basis is None:
-            return False
+    def _offer(self, basis: np.ndarray, b: np.ndarray, cost: float) -> bool:
         Bm = self.A[:, basis]
-        if np.linalg.cond(Bm) > 1.0 / POOL_TOL:
+        if basis.size != self.m or np.linalg.cond(Bm) > 1.0 / POOL_TOL:
             return False
         Binv = np.linalg.inv(Bm)
         y = self.c[basis] @ Binv
-        d = self.c - y @ self.A
-        d[basis] = 0.0
-        if np.any(np.where(self.bounded, d, -np.abs(d)) < -self.dual_tol):
-            return False
-        inv = Binv[self.bounded[basis]]
-        if np.any(inv @ b < -POOL_TOL * max(1.0, float(np.max(np.abs(b))))):
-            return False
-        if abs(y @ b - cost) > POOL_TOL * max(1.0, abs(cost)):
+        d = self.c - y @ self.A  # reduced costs; a fixed column's may take either sign
+        d[basis] = d[self.fixed] = 0.0
+        fixed = Binv[self.fixed[basis]]
+        inv = np.vstack([Binv[self.bounded[basis]], fixed, -fixed])
+        if (np.any(np.where(self.bounded, d, -np.abs(d)) < -self.dual_tol)
+                or np.any(inv @ b < -POOL_TOL * max(1.0, float(np.max(np.abs(b)))))
+                or abs(y @ b - cost) > POOL_TOL * max(1.0, abs(cost))):
             return False
         self.inverses.append(inv)
         self.duals.append(y)
         self.primal.append((basis[basis < self.n], Binv[basis < self.n]))
         return True
-
-    def _basis(self, support: np.ndarray, rest: np.ndarray) -> np.ndarray | None:
-        """m columns of A: an independent subset of the support, picked by QR
-        with column pivoting, then completed from the rest by the same
-        pivoting on their part orthogonal to the columns already picked."""
-        from scipy.linalg import qr
-
-        m = self.A.shape[0]
-        chosen, Q = support[:0], np.zeros((m, 0))
-        if support.size:
-            Q, R, piv = qr(self.A[:, support], mode="economic", pivoting=True)
-            d = np.abs(np.diag(R))
-            r = int(np.count_nonzero(d > POOL_TOL * d[0]))
-            chosen, Q = support[piv[:r]], Q[:, :r]
-        need = m - chosen.size
-        if need and rest.size >= need:
-            P = self.A[:, rest] - Q @ (Q.T @ self.A[:, rest])
-            _, R, piv = qr(P, mode="economic", pivoting=True)
-            chosen = np.concatenate([chosen, rest[piv[:need]]])
-        return chosen if chosen.size == m else None
 
 
 def sws_value(problem: MultistageRobustLP, paths, solver="highs") -> tuple[float, int]:
@@ -710,7 +672,7 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
       (_solve_core);
     * "monolithic", one solve of the whole LP, otherwise: uncertain T, W
       or c, a tree whose every non-leaf node is shared (the RO vertex
-      tree), or a method above that meets an unbounded tail.
+      tree), or a method above that gives up and names why.
 
     result.objective is gamma; for the first two, result.iterations sums
     the master solves and result.time_s is the whole loop.
@@ -722,7 +684,8 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
     stage, its optimality and feasibility cuts, and the tails solved and
     certified by pricing (all also as the record's `solve_swc` dict, where
     a core solve also lists the master's iterations per round,
-    master_iterations).
+    master_iterations).  A monolithic solve after a method gave up adds
+    why, `fallback`.
     """
     K = grouping.node_counts()
     found = None
@@ -732,15 +695,19 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
         core = _core_nodes(grouping)
         if not all(c.all() for c in core):
             found = _solve_core(problem, grouping, core, solve)
-    if found is None:
+    if not isinstance(found, tuple):
         lp, _ = build_swc(problem, grouping)
         res = require_optimal(solve(lp), "swc")
         stats = {"method": "monolithic", "rounds": 1, "leaves": K[-1], "rows": lp.nrows,
                  "cols": lp.ncols, "iterations": res.iterations}
+        if found is not None:
+            stats["fallback"] = found
     else:
         res, stats = found
     message = ("solve_swc: %(method)s, %(rounds)d rounds, %(leaves)d leaves, "
                "master %(rows)d x %(cols)d, %(iterations)d iterations")
+    if "fallback" in stats:
+        message += ", fallback %(fallback)s"
     if stats["method"] == "core":
         message += (", core nodes %(core)s, cuts %(optimality_cuts)d optimality + "
                     "%(feasibility_cuts)d feasibility, tails %(solved)d solved + "
@@ -752,7 +719,7 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
 
 
 def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
-              solve) -> tuple[SolveResult, dict] | None:
+              solve) -> tuple[SolveResult, dict] | str:
     """_solve_grouping's generation over the leaves of a grouping with one
     leaf per stage-1 node: a master build_swc LP over a working set of
     leaves (the first FIRST_LEAVES at the start), then every leaf priced at
@@ -765,9 +732,10 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     master is a relaxation whose (x1, gamma) ends feasible for every leaf,
     so its value is the LP's optimum; x holds each leaf's recourse from the
     last pricing pass.  Each master is the relaxed grouping of its working
-    set, the same LP as its prefix tree when no prefix is shared.  None
-    when a leaf's recourse is unbounded at the master's x1 (its budget row
-    is slack, but no recourse vector comes from pricing)."""
+    set, the same LP as its prefix tree when no prefix is shared.  Gives
+    up, returning "unbounded tail", when a leaf's recourse is unbounded at
+    the master's x1 (its budget row is slack, but no recourse vector comes
+    from pricing)."""
     t0 = time.perf_counter()
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     work = np.arange(min(FIRST_LEAVES, len(leaves)))
@@ -782,7 +750,7 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
         cost, Z, stats = _path_costs(problem, leaves, solve, x1, pools=pools, recourse=True)
         counts.update(solved=stats["solved"], certified=stats["certified"])
         if np.any(cost == -np.inf):
-            return None
+            return "unbounded tail"
         excess = (cost + float(problem.c1 @ x1)) - gamma
         excess[work] = 0.0
         new = np.flatnonzero(excess > LEAF_TOL)
@@ -827,28 +795,18 @@ def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: li
     return lp.build(), starts
 
 
-def _tail_duals(pool: "_BasisPool | None", B: np.ndarray, solve) -> np.ndarray | None:
+def _tail_duals(pool: "_BasisPool | None", B: np.ndarray) -> np.ndarray | None:
     """Optimal dual vectors of the pool's LP at the right-hand sides B (K,
-    m): from the pooled basis that prices a row, else from a solve of the
-    LP's dual (_BasisPool.dual_lp; a degenerate vertex can leave a solved
-    path without a pooled basis).  None when there is no pool or a dual
-    solve is not optimal."""
+    m), from the pooled bases that price them; None when there is no pool
+    or a row is priced by none (its basis was rejected, or never reported)."""
     if pool is None:
         return None
     which, _ = pool.price(B, 0)
-    Y = np.empty((len(B), pool.M.shape[0]))
-    if np.any(which >= 0):
-        Y[which >= 0] = np.asarray(pool.duals)[which[which >= 0]]
-    for i in np.flatnonzero(which < 0).tolist():
-        res = solve(pool.dual_lp(B[i]))
-        if res.status is not Status.OPTIMAL:
-            return None
-        Y[i] = res.x
-    return Y
+    return None if np.any(which < 0) else np.asarray(pool.duals)[which]
 
 
 def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: list[np.ndarray],
-                solve) -> tuple[SolveResult, dict] | None:
+                solve) -> tuple[SolveResult, dict] | str:
     """_solve_grouping's L-shaped method (Van Slyke & Wets 1969) over the
     core of a shared grouping with constant T, W and c.
 
@@ -856,32 +814,34 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     certificates; it is a GrowingLP, so on HiGHS every round re-solves one
     model from its last basis after the round's cuts.  A leaf whose deepest
     core node is at level d has an unshared tail: its certificates of
-    stages d+2..H, which no other leaf uses.  So the whole LP is the master plus, per leaf, c1'x1 + its core
-    ancestors' costs + Q(b) <= gamma, with Q the optimal tail cost at
-    right-hand side b = b(xi, x_d) (x_d the state at its deepest core node,
-    x1 when d = 0).  The tail LPs of one depth share A and c, so each depth
-    keeps one pair of basis pools across rounds, and every dual vector y of
-    a pooled basis gives Q(b) >= y'b for all b.  Each round prices every
-    tail at the master's point with scenario_costs' loop and adds, for
-    each leaf over gamma by more than LEAF_TOL, the optimality cut y'b(xi,
-    x_d) with y its optimal basis's duals, and for each infeasible tail the
-    feasibility cut sigma'b(xi, x_d) <= 0 with sigma the duals of its
-    elastic phase 1.  The bound gamma >= max over leaves of the anticipative
-    optimum keeps the first masters bounded.
+    stages d+2..H, which no other leaf uses.  So the whole LP is the
+    master plus, per leaf, c1'x1 + its core ancestors' costs + Q(b) <=
+    gamma, with Q the optimal tail cost at right-hand side b = b(xi, x_d)
+    (x_d the state at its deepest core node, x1 when d = 0).  The tail LPs
+    of one depth share A and c, so each depth keeps one pair of basis pools
+    across rounds, and every dual vector y of a pooled basis gives Q(b) >=
+    y'b for all b.  Each round prices every tail at the master's point with
+    scenario_costs' loop and adds, for each leaf over gamma by more than
+    LEAF_TOL, the optimality cut y'b(xi, x_d) with y the duals of the
+    pooled basis that prices it, and for each infeasible tail the
+    feasibility cut sigma'b(xi, x_d) <= 0 with sigma those of a pooled
+    basis of its elastic phase 1.  The bound gamma >= max over leaves of
+    the anticipative optimum keeps the first masters bounded.
 
     The loop ends when no leaf is over, or over only by a cut the master
     already holds (so within the master solver's tolerance); the master is
     then exact, and x has build_swc's layout: the core blocks from the
     master and every other node's block from its leaf's tail solution.
-    None (the caller solves the whole LP) when a tail is unbounded, when no
-    dual vector comes for a cut (_tail_duals), or when an infeasible tail
-    only repeats a cut the master already holds."""
+    Gives up, for the caller to solve the whole LP, and returns why:
+    "unbounded tail", "no pooled dual" when no pooled basis prices a tail
+    that needs a cut (_tail_duals), or "repeated feasibility cut" when an
+    infeasible tail only repeats a cut the master already holds."""
     t0 = time.perf_counter()
     n, S = problem.dims.n, tree.n_stages
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     anticipative = _path_costs(problem, leaves, solve, None)[0]
     if not np.all(np.isfinite(anticipative)):
-        return None
+        return "unbounded tail"  # or an infeasible leaf, whose whole LP is infeasible
     master, first_col = _core_master(problem, tree, core, float(np.max(anticipative)))
     anc = [np.arange(len(leaves))]  # anc[k-1]: each leaf's level-k node
     for level in range(S - 1, 0, -1):
@@ -916,18 +876,19 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             counts["solved"] += stats["solved"]
             counts["certified"] += stats["certified"]
             if np.any(cost == -np.inf):
-                return None
+                return "unbounded tail"
             tails.append(Z)
             over = np.flatnonzero(np.isfinite(cost) & (res.x[cols] @ coef + cost > LEAF_TOL))
             for kind, idx in (("optimal", over), ("phase1", np.flatnonzero(cost == np.inf))):
-                Y = _tail_duals(pools[d].get(kind), _path_rhs(problem, X[idx], state[idx], s),
-                                solve) if idx.size else np.empty((0, 0))
+                Y = (_tail_duals(pools[d].get(kind), _path_rhs(problem, X[idx], state[idx], s))
+                     if idx.size else np.empty((0, 0)))
                 if Y is None:
-                    return None
+                    return "no pooled dual"
                 new = np.array([(kind, i, y.tobytes()) not in seen
                                 for i, y in zip(g[idx].tolist(), Y)], dtype=bool)
                 if kind == "phase1" and not new.all():
-                    return None  # the master holds this cut already, within its tolerance
+                    # the master holds this cut already, within its tolerance
+                    return "repeated feasibility cut"
                 seen.update((kind, i, y.tobytes()) for i, y in zip(g[idx].tolist(), Y))
                 idx, Y = idx[new], Y[new]
                 if not idx.size:

@@ -41,11 +41,16 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveResult:
+    """One solve's outcome.  basis: the optimal basis, its nrows basic
+    variables sorted, in HiGHS's convention (j >= 0 column j, -1-i row i's
+    slack); from solve_highs and solve_builtin, None from other solvers."""
+
     status: Status
     objective: float | None
     x: np.ndarray | None
     iterations: int = 0
     time_s: float = 0.0
+    basis: np.ndarray | None = None
 
 
 def row_excess(senses, activity: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -199,13 +204,13 @@ def _highs_core():
     try:
         from scipy.optimize._highspy import _core
 
-        _core._Highs.addRows
+        _core._Highs.addRows, _core._Highs.getBasicVariables
     except (ImportError, AttributeError) as exc:
         import scipy
 
         raise SolverError(f"solve_highs needs scipy >= {HIGHS_SCIPY}, whose "
-                          f"scipy.optimize._highspy._core has _Highs.addRows; "
-                          f"found scipy {scipy.__version__}") from exc
+                          f"scipy.optimize._highspy._core has _Highs.addRows and "
+                          f"_Highs.getBasicVariables; found scipy {scipy.__version__}") from exc
     return _core
 
 
@@ -295,9 +300,21 @@ def solve_highs(lp: LPInstance) -> SolveResult:
     """Solve with scipy's bundled HiGHS, called directly: the model, options
     and status mapping of linprog(method="highs"), so the same x, objective
     and iteration count, without linprog's input checks, copies and dual
-    read-out; deterministic for fixed input."""
+    read-out; deterministic for fixed input.  An optimal result carries
+    HiGHS's final basis, its rows mapped back from to_scipy's order."""
     t0 = time.perf_counter()
-    res = _run_highs(*_load_highs(lp))
+    highs, loaded = _load_highs(lp)
+    res = _run_highs(highs, loaded)
+    if res.status is Status.OPTIMAL:
+        # getBasicVariables crashes on a model without entries (HiGHS drops
+        # those up to 1e-9), whose every row slack is basic
+        status, basic = (highs.getBasicVariables() if highs.getNumNz()
+                         else (None, np.arange(-lp.nrows, 0)))
+        if status != _highs_core().HighsStatus.kError:
+            rows = np.argsort(np.asarray(lp.senses, dtype="<U2") == EQ, kind="stable")
+            basic, slack = basic.astype(np.int64), basic < 0  # HiGHS row k is lp's rows[k]
+            basic[slack] = -1 - rows[-1 - basic[slack]]
+            res.basis = np.sort(basic)
     return replace(res, time_s=time.perf_counter() - t0)
 
 

@@ -34,7 +34,8 @@ class BuiltinSizeLimitError(SolverError):
 
 @dataclass
 class _StandardForm:
-    """A z = b, z >= 0, min c'z, with the original x = const + R @ z[:R.shape[1]]."""
+    """A z = b, z >= 0, min c'z, with the original x = const + R @ z[:R.shape[1]].
+    Rows: the LP's nonempty ones, then a bound row per boxed column."""
 
     A: sparse.csr_matrix    # (m, n), before the flip below
     flip: np.ndarray        # rows negated, in the dense blocks, so that b >= 0
@@ -43,6 +44,11 @@ class _StandardForm:
     slack_plus: np.ndarray  # per row: slack column with +1 coefficient, or -1
     R: sparse.csr_matrix    # (ncols, structural columns): +-1 per column, two if free
     const: np.ndarray       # bound shifts
+    var: np.ndarray         # per column: its LP column, or -1-i for row i's slack,
+                            # or for a bound row's slack, its boxed column
+    row_var: np.ndarray     # per row: -1-i for the LP's row i, a bound row its column
+    boxed: np.ndarray       # per LP column
+    empty: np.ndarray       # the LP's empty rows
 
     def dense(self, rows, cols) -> np.ndarray:
         A = self.A[rows][:, cols].toarray()
@@ -51,6 +57,16 @@ class _StandardForm:
 
     def original(self, z: np.ndarray) -> np.ndarray:
         return self.const + self.R @ z[: self.R.shape[1]]
+
+    def basis(self, basic: np.ndarray) -> np.ndarray:
+        """The LP's basis (SolveResult.basis) of this form's basis `basic`
+        (columns, and -1-r for a dependent row r the solve dropped): a boxed
+        column is basic only with its bound row's slack, else it is at a
+        bound; the slacks of dropped and of empty rows are basic."""
+        var = np.concatenate([self.var[basic[basic >= 0]], self.row_var[-1 - basic[basic < 0]]])
+        count = np.bincount(var[var >= 0], minlength=self.boxed.size)
+        return np.sort(np.concatenate([np.flatnonzero(count > self.boxed), var[var < 0],
+                                       -1 - self.empty]))
 
 
 def _standardize(lp: LPInstance) -> _StandardForm | None:
@@ -97,7 +113,10 @@ def _standardize(lp: LPInstance) -> _StandardForm | None:
     # the slack enters with +1 on a <= row, or on a >= row that the flip negated
     slack_plus = np.where(has_slack & ((senses == LE) != flip), nstd + np.cumsum(has_slack) - 1, -1)
     c = np.concatenate([R.T @ lp.obj, np.zeros(n_slack)])
-    return _StandardForm(A, flip, b, c, slack_plus, R, const)
+    row_var = np.concatenate([-1 - np.flatnonzero(~empty), np.flatnonzero(boxed)])
+    var = np.concatenate([np.repeat(np.arange(lp.ncols), width), row_var[has_slack]])
+    return _StandardForm(A, flip, b, c, slack_plus, R, const, var, row_var, boxed,
+                         np.flatnonzero(empty))
 
 
 class _Core:
@@ -198,28 +217,32 @@ def solve_builtin(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None
                                     f"{size_limit}; use solver='highs', an external solver, "
                                     "or force=True")
     z = np.zeros(std.A.shape[1])
-    iterations, statuses = 0, set()
+    iterations, statuses, basic = 0, set(), []
     for rows, cols in blocks:
         # slack columns sit in their row's block; renumber them within it
         sp = std.slack_plus[rows]
         sp = np.where(sp >= 0, np.searchsorted(cols, sp), -1)
-        status, z_k, its = _solve_block(std.dense(rows, cols), std.b[rows], std.c[cols], sp,
-                                        tol, max_iter)
+        status, z_k, its, basis = _solve_block(std.dense(rows, cols), std.b[rows], std.c[cols],
+                                               sp, tol, max_iter)
         iterations += its
         statuses.add(status)
         if z_k is not None:
             z[cols] = z_k
+            basic += [cols[basis[basis >= 0]], -1 - rows[-1 - basis[basis < 0]]]
     elapsed = time.perf_counter() - t0
     for status in _STATUS_ORDER:
         if status in statuses:
             return SolveResult(status, None, None, iterations, elapsed)
     x = std.original(z)
-    return SolveResult(Status.OPTIMAL, float(lp.obj @ x), x, iterations, elapsed)
+    return SolveResult(Status.OPTIMAL, float(lp.obj @ x), x, iterations, elapsed,
+                       std.basis(np.concatenate([np.empty(0, np.int64), *basic])))
 
 
 def _solve_block(A: np.ndarray, b: np.ndarray, c: np.ndarray, slack_plus: np.ndarray,
-                 tol: float, max_iter: int | None) -> tuple[Status, np.ndarray | None, int]:
-    """Two-phase simplex on one dense block; returns (status, z, iterations)."""
+                 tol: float, max_iter: int | None
+                 ) -> tuple[Status, np.ndarray | None, int, np.ndarray | None]:
+    """Two-phase simplex on one dense block; returns (status, z, iterations,
+    basis: its columns, and -1-r for each row r dropped as dependent)."""
     m, n = A.shape
     if max_iter is None:
         max_iter = 50 * (m + n)
@@ -233,6 +256,7 @@ def _solve_block(A: np.ndarray, b: np.ndarray, c: np.ndarray, slack_plus: np.nda
     core = _Core(A, b, tol, max_iter)
     core.set_basis(basis)
     allowed = np.ones(A.shape[1], dtype=bool)
+    redundant = []
 
     if art.size:
         c1 = np.zeros(A.shape[1])
@@ -244,27 +268,27 @@ def _solve_block(A: np.ndarray, b: np.ndarray, c: np.ndarray, slack_plus: np.nda
 
         status = core.run(c1, allowed, on_leave=drop_artificial)
         if status is Status.ITERATION_LIMIT:
-            return status, None, core.iterations
+            return status, None, core.iterations, None
         feas_gap = float(c1[core.basis] @ np.maximum(core.xB, 0.0))
         if status is not Status.OPTIMAL or feas_gap > tol * (1.0 + abs(b).max(initial=0.0)) * 100:
-            return Status.INFEASIBLE, None, core.iterations
-        keep = _purge_artificials(core, n, allowed)
-        if keep is not None:
-            core = keep
+            return Status.INFEASIBLE, None, core.iterations, None
+        core, redundant = _purge_artificials(core, n, allowed)
 
     allowed2 = np.ones(core.A.shape[1], dtype=bool)
     allowed2[n:] = False  # any artificial column still present stays out
     status = core.run(np.concatenate([c, np.zeros(core.A.shape[1] - n)]), allowed2)
     if status is not Status.OPTIMAL:
-        return status, None, core.iterations
+        return status, None, core.iterations, None
     z = np.zeros(core.A.shape[1])
     z[core.basis] = np.maximum(core.xB, 0.0)
-    return status, z[:n], core.iterations
+    return status, z[:n], core.iterations, np.concatenate([core.basis,
+                                                           -1 - np.array(redundant, np.int64)])
 
 
-def _purge_artificials(core: _Core, n: int, allowed: np.ndarray) -> _Core | None:
+def _purge_artificials(core: _Core, n: int, allowed: np.ndarray) -> tuple[_Core, list[int]]:
     """Pivot zero-level artificials out of the basis; drop rows that prove
-    linearly dependent.  Returns a rebuilt core when rows were dropped."""
+    linearly dependent.  Returns the core, rebuilt when rows were dropped,
+    and those rows (an artificial sits in its own row's position)."""
     redundant = []
     for r in range(core.basis.size):
         if core.basis[r] < n:
@@ -285,9 +309,9 @@ def _purge_artificials(core: _Core, n: int, allowed: np.ndarray) -> _Core | None
         core.B_inv -= np.outer(d_others, core.B_inv[r])
         core.xB = core.B_inv @ core.b
     if not redundant:
-        return None
+        return core, redundant
     keep_rows = np.setdiff1d(np.arange(core.basis.size), np.array(redundant, dtype=np.int64))
     new = _Core(core.A[keep_rows][:, :], core.b[keep_rows], core.tol, core.max_iter)
     new.iterations = core.iterations
     new.set_basis(core.basis[keep_rows])
-    return new
+    return new, redundant

@@ -160,9 +160,12 @@ def oracle_solve(lp: LPInstance):
     return "optimal", best + offset
 
 
-def random_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int = 8) -> LPInstance:
+def random_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int = 8,
+              empty_rows: int = 0) -> LPInstance:
     """Random small LP mixing senses, bound kinds and objective signs, so
-    that optimal, infeasible and unbounded cases all occur."""
+    that optimal, infeasible and unbounded cases all occur; empty_rows
+    rows without entries (each satisfied by every x) go in at random
+    places."""
     n = int(rng.integers(2, max_vars + 1))
     m = int(rng.integers(1, max_rows + 1))
     b = LPBuilder()
@@ -178,7 +181,12 @@ def random_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int = 8) ->
             lo, hi = float(rng.uniform(-2.0, 0.0)), np.inf
         obj = float(rng.normal(0.6, 1.0)) if rng.random() < 0.8 else float(rng.normal(-0.5, 0.5))
         b.add_var(lo, hi, obj, f"v{j}")
-    for i in range(m):
+    empty = rng.choice(m + empty_rows, empty_rows, replace=False).tolist() if empty_rows else []
+    for i in range(m + empty_rows):
+        if i in empty:
+            sense = (LE, EQ, GE)[int(rng.integers(3))]
+            b.add_row([], [], sense, {LE: 1.0, EQ: 0.0, GE: -1.0}[sense])
+            continue
         cols = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
         vals = rng.normal(0, 1, size=cols.size)
         u = rng.random()
@@ -190,6 +198,35 @@ def random_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int = 8) ->
             sense, rhs = EQ, float(rng.uniform(0.0, 2.0))
         b.add_row(sorted(cols), vals, sense, rhs)
     return b.build()
+
+
+def assert_basis_gives_x(lp: LPInstance, res, tol: float = 1e-9) -> None:
+    """res.basis is an optimal basis of lp that gives res.x: nrows distinct
+    entries (column j >= 0, or -1-i for row i's slack); B, the basic
+    columns of the rows A x - r = 0 beside the basic rows' slacks r, is
+    nonsingular; and with every nonbasic column at one of its bounds (0 if
+    free) and every nonbasic row's slack at its right-hand side, B z_B
+    solves for res.x's basic columns within tol (relative to max |x|)."""
+    basis, x = res.basis, res.x
+    assert basis is not None and basis.size == lp.nrows == np.unique(basis).size
+    cols, rows = basis[basis >= 0], -1 - basis[basis < 0]
+    assert np.all(cols < lp.ncols) and np.all(rows < lp.nrows)
+    A = np.zeros((lp.nrows, lp.ncols))
+    for i in range(lp.nrows):
+        for j, v in zip(*lp.row(i)):
+            A[i, j] += v
+    I = np.eye(lp.nrows)
+    B = np.hstack([A[:, cols], -I[:, rows]])
+    assert np.linalg.matrix_rank(B) == lp.nrows
+    scale = tol * max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    non = np.setdiff1d(np.arange(lp.ncols), cols)
+    lo, hi = lp.lower[non], lp.upper[non]
+    at = np.where(np.abs(x[non] - lo) <= scale, lo, np.where(np.abs(x[non] - hi) <= scale, hi,
+                  np.where(np.isinf(lo) & np.isinf(hi), 0.0, np.nan)))
+    assert np.all(np.abs(x[non] - at) <= scale), (x[non], lo, hi)
+    tight = np.setdiff1d(np.arange(lp.nrows), rows)  # nonbasic rows, at their right-hand side
+    z = np.linalg.solve(B, I[:, tight] @ lp.rhs[tight] - A[:, non] @ at)
+    assert np.all(np.abs(z[: cols.size] - x[cols]) <= scale)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ result vector of the full LP's size that is feasible for it (max_violation
 alternative optima; the budget check is the one that must hold then.
 """
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,3 +393,33 @@ def test_unbounded_recourse_falls_back_to_the_whole_lp(caplog):
     assert solve_record(caplog)["method"] == "monolithic"
     assert value == pytest.approx(1.0) and x1 == pytest.approx([1.0])
     assert len(res.x) == lp.ncols and lp.max_violation(res.x) <= 1e-9
+    assert solve_record(caplog)["fallback"] == "unbounded tail"
+    record = [r for r in caplog.records if hasattr(r, "solve_swc")][0]
+    assert record.getMessage().endswith(", fallback unbounded tail")
+
+
+@pytest.mark.parametrize("seed", [10, 37])
+def test_degenerate_tails_price_on_the_solvers_bases(seed, caplog):
+    # degenerate vertices: bases rebuilt from the vertex alone were rejected
+    # here, as dual infeasible, and the core method solved the tails' dual
+    # LPs; the bases the solver ends on all pass the pool's checks
+    problem, _ = constant_recourse_problem(np.random.default_rng(seed), 4, free=False,
+                                           degenerate=True, discrete=True)
+    paths = draw_paths(problem.uncertainty, 12, [seed, 0])
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        assert_matches_monolithic(problem, paths, method="core")
+    records = [r for r in caplog.records if hasattr(r, "scenario_costs") or hasattr(r, "solve_swc")]
+    solve = records[: [hasattr(r, "solve_swc") for r in records].index(True)]
+    assert len(solve) >= 4
+    assert [r.scenario_costs["rejected"] for r in solve] == [0] * len(solve)
+
+
+def test_a_solver_without_bases_solves_shared_trees_whole(caplog):
+    # as the external solver: no basis, so no pool and no cut
+    problem = inventory_benchmark(4, "integer")
+    paths = draw_paths(problem.uncertainty, 189, [11, 0])
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        value = solve_swc_paths(problem, paths, lambda lp: replace(solve_highs(lp), basis=None))[0]
+    stats = solve_record(caplog)
+    assert stats["method"] == "monolithic" and stats["fallback"] == "no pooled dual"
+    assert value == pytest.approx(solve_swc_paths(problem, paths)[0], rel=1e-9)

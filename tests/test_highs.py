@@ -1,6 +1,7 @@
 """solve_highs, scipy's bundled HiGHS called directly, against
 linprog(method="highs"), and GrowingLP's warm and cold routes."""
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import linprog_highs, random_lp
+from oracles import assert_basis_gives_x, linprog_highs, random_lp
 from swcopt import lp as lp_module
 from swcopt.builders import solve_swc_paths, sws_value, swct_value
 from swcopt.inventory import inventory_benchmark
@@ -159,6 +160,41 @@ def test_a_scipy_without_the_binding_names_the_version_it_needs(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     with pytest.raises(SolverError, match=f"scipy >= {lp_module.HIGHS_SCIPY}"):
         solve_highs(_two_columns())
+
+
+def test_a_binding_without_basic_variables_is_named(monkeypatch):
+    core = types.SimpleNamespace(_Highs=type("_Highs", (), {"addRows": None}))
+    monkeypatch.setattr(scipy.optimize._highspy, "_core", core)
+    with pytest.raises(SolverError, match=r"_Highs\.getBasicVariables; found scipy"):
+        solve_highs(_two_columns())
+
+
+def test_optimal_results_carry_the_basis_that_gives_x():
+    # <=, = and >= rows, free, boxed and shifted columns, empty rows of each sense
+    rng = np.random.default_rng(2025)
+    optimal = 0
+    for k in range(300):
+        lp = random_lp(rng, empty_rows=k % 3)
+        res = solve_highs(lp)
+        if res.status is Status.OPTIMAL:
+            assert_basis_gives_x(lp, res)
+            optimal += 1
+        else:
+            assert res.basis is None
+    assert optimal > 50
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-10])
+def test_a_matrix_without_entries_has_every_slack_basic(value):
+    # HiGHS drops entries up to 1e-9 and keeps none here
+    b = LPBuilder()
+    b.add_var(0.0, 2.0, -1.0)
+    b.add_var(-np.inf, np.inf, 0.0)
+    b.add_row([], [], "<=", 1.0)
+    b.add_row([0], [value], "=", 0.0)
+    res = solve_highs(b.build())
+    np.testing.assert_array_equal(res.basis, [-2, -1])
+    assert_basis_gives_x(b.build(), res)
 
 
 @st.composite

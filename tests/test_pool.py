@@ -16,7 +16,7 @@ import oracles
 from swcopt.builders import scenario_costs, solve_swc_paths, vertex_paths
 from swcopt.complexity import sample_complexity
 from swcopt.inventory import BENCHMARK_N0, inventory_benchmark
-from swcopt.lp import SolveResult, Status
+from swcopt.lp import SolveResult, Status, solve_highs
 from swcopt.model import (EQ, GE, LE, AffineMap, BoxSupport, DiscreteSupport, MultistageRobustLP,
                           ScenarioPaths, StageBlock, StageDims, UncertaintySet)
 from swcopt.sampling import draw_paths
@@ -228,13 +228,15 @@ def test_sparse_infeasible_paths_match_oracle(caplog):
 
 
 def test_zero_solutions_fail_the_self_check(caplog):
-    # a solver that reports x = 0 as optimal: no basis reproduces a zero cost
+    # a solver that reports x = 0 as optimal, with the basis HiGHS ends on:
+    # the basis is sound, but its y'b does not reproduce the zero cost.  At
+    # this x1 every path's recourse is feasible, so HiGHS has a basis for it
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 40, seed=[1, 0])
-    x1 = np.array([50.0, 60.0, 0.0])
+    x1 = np.array([70.0, 70.0, 70.0])
 
     def solve(lp):
-        return SolveResult(Status.OPTIMAL, 0.0, np.zeros(lp.ncols))
+        return SolveResult(Status.OPTIMAL, 0.0, np.zeros(lp.ncols), basis=solve_highs(lp).basis)
 
     with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
         costs = scenario_costs(problem, paths, solve, x1=x1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import oracle_solve, random_lp
+from oracles import assert_basis_gives_x, oracle_solve, random_lp
 from swcopt.builders import _separable_blocks, build_swc, relaxed_grouping, vertex_paths
 from swcopt.inventory import inventory_benchmark
 from swcopt.lp import LPBuilder, LPInstance, Status, solve_highs
@@ -128,6 +128,34 @@ def test_agrees_with_enumeration_oracle():
             assert lp.max_violation(res.x) <= 1e-8
             checked += 1
     assert checked >= 5
+
+
+def test_optimal_results_carry_the_basis_that_gives_x():
+    # <=, = and >= rows, free, boxed and shifted columns, empty rows of each
+    # sense, and stacks of independent blocks
+    rng = np.random.default_rng(2025)
+    optimal = 0
+    for k in range(200):
+        lp = random_lp(rng, 6, 6, empty_rows=k % 3)
+        if k % 4 == 3:
+            lp = _stack([lp, random_lp(rng, 6, 6, empty_rows=1)])
+        res = solve_builtin(lp)
+        if res.status is Status.OPTIMAL:
+            assert_basis_gives_x(lp, res)
+            optimal += 1
+        else:
+            assert res.basis is None
+    assert optimal > 30
+
+
+def test_a_dependent_row_dropped_by_the_solve_has_its_slack_basic():
+    # the second row is twice the first: phase 1 leaves its artificial in the
+    # basis at zero level, and the row is dropped
+    lp = _lp([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]], [1.0, 2.0], [(0, np.inf), (0, np.inf)],
+             ["=", "=", "<="], [1.0, 2.0, 3.0])
+    res = solve_builtin(lp)
+    assert res.status is Status.OPTIMAL and {-1, -2} & set(res.basis.tolist())
+    assert_basis_gives_x(lp, res)
 
 
 def test_agrees_with_highs():
@@ -299,7 +327,7 @@ def test_one_block_reference_solves_match_rowwise_path(reference_lps, mode):
     lp = reference_lps[mode]
     assert len(_blocks(_standardize(lp).A)) == 1
     old = oracles._standardize(lp)
-    status, z, iterations = _solve_block(old.A, old.b, old.c, old.slack_plus, 1e-9, None)
+    status, z, iterations, _ = _solve_block(old.A, old.b, old.c, old.slack_plus, 1e-9, None)
     res = solve_builtin(lp)
     assert res.status is status is Status.OPTIMAL and res.iterations == iterations
     _same_bytes(res.x, _rowwise_x(old, z), "x")
