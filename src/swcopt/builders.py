@@ -117,7 +117,6 @@ class _Assembly:
         self.rhs = np.empty(nrows)
         self.lower = np.empty(ncols)
         self.obj = np.zeros(ncols)
-        self.names = np.empty(ncols, dtype=object)
 
     def entries(self, r0: np.ndarray, c0: np.ndarray, M: np.ndarray) -> None:
         """Nonzeros of the K stacked blocks M, shape (K, m, n)."""
@@ -126,22 +125,19 @@ class _Assembly:
 
     def rows(self, r0: np.ndarray, senses, rhs: np.ndarray) -> None:
         idx = _span(r0, len(senses))
-        self.senses[idx] = np.tile(np.asarray(senses, dtype="<U2"), len(r0))
+        self.senses[idx] = np.tile(senses, len(r0))
         self.rhs[idx] = np.broadcast_to(rhs, (len(r0), len(senses))).ravel()
 
-    def columns(self, t: int, c0: np.ndarray, tag: str, obj=0.0) -> None:
-        """Stage-t decision blocks; block k's names get the suffix f"{tag}{k}"
-        (no suffix for an empty tag, which names a single block)."""
+    def columns(self, t: int, c0: np.ndarray, obj=0.0) -> None:
+        """Stage-t decision blocks."""
         nt = self.problem.dims.n[t - 1]
         idx = _span(c0, nt)
         self.lower[idx] = np.tile(np.where(self.problem.nonneg[t - 1], 0.0, -np.inf), len(c0))
         self.obj[idx] = np.broadcast_to(obj, (len(c0), nt)).ravel()
-        tags = np.char.add(tag, np.arange(len(c0)).astype(str))[:, None] if tag else ""
-        self.names[idx] = np.char.add(self.problem.default_names()[t - 1], tags).ravel()
 
-    def first_stage(self, r0: np.ndarray, c0: np.ndarray, tag: str, obj=0.0) -> None:
+    def first_stage(self, r0: np.ndarray, c0: np.ndarray, obj=0.0) -> None:
         p = self.problem
-        self.columns(1, c0, tag, obj)
+        self.columns(1, c0, obj)
         self.entries(r0, c0, np.broadcast_to(p.A, (len(r0),) + p.A.shape))
         self.rows(r0, p.senses1, p.h1)
 
@@ -172,9 +168,8 @@ class _Assembly:
             indptr=np.concatenate([[0], np.cumsum(np.bincount(r, minlength=nrows))]),
             indices=c[order],
             data=v[order],
-            senses=tuple(self.senses.tolist()),
+            senses=self.senses,
             rhs=self.rhs,
-            names=tuple(self.names.tolist()),
         )
 
 
@@ -195,8 +190,8 @@ def build_swc(
     col0 = np.cumsum([1 + n[0], *np.multiply(K, n[1:])])  # first column of each level, then ncols
     row0 = np.cumsum([m[0], *np.multiply(K, m[1:])])      # first row of each level, then budget rows
     lp = _Assembly(problem, row0[-1] + K[-1], col0[-1])
-    lp.lower[0], lp.obj[0], lp.names[0] = -np.inf, 1.0, "gamma"
-    lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64), "")
+    lp.lower[0], lp.obj[0] = -np.inf, 1.0
+    lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64))
     starts = _certificate_blocks(lp, tree, [np.arange(k) for k in K])
     X = tree.nodes[-1]
     # budget rows -gamma + c1'x1 + sum_t c_t(xi)'x_t <= 0, one per leaf; c1 kept whole, zeros too
@@ -226,7 +221,7 @@ def _certificate_blocks(lp: _Assembly, tree: ScenarioPrefixTree,
         c0 = col + n[t - 1] * k
         # stage-2 rows always read x1 (relaxed groupings carry parent[0] = range(K))
         prev = np.ones_like(k) if level == 1 else starts[-1][tree.parent[level - 1][j]]
-        lp.columns(t, c0, f"_n{level}_")
+        lp.columns(t, c0)
         lp.stage(t, tree.nodes[level - 1][j], row + m[t - 1] * k, c0, prev)
         starts.append(np.full(tree.n_nodes(level), -1))
         starts[-1][j] = c0
@@ -255,9 +250,8 @@ def _separable_blocks(
     objective).  With state None each block is the full deterministic LP;
     otherwise it is the tail over decision stages s..H given the stage-(s-1)
     decisions `state` (one vector for every path, such as a fixed x1, or one
-    row per path), whose term T_s state moves to the right-hand side.  Path
-    i's columns are tagged "_s{i}".  Returns the LP, the first column of
-    every block and the block width."""
+    row per path), whose term T_s state moves to the right-hand side.
+    Returns the LP, the first column of every block and the block width."""
     paths = ScenarioPaths.of(paths)
     _check_widths(problem, paths)
     first = 1 if state is None else s  # first decision stage of a block
@@ -268,11 +262,11 @@ def _separable_blocks(
     lp = _Assembly(problem, P * row_off[-1], P * col_off[-1])
     prev = None
     if state is None:
-        lp.first_stage(r0, c0, "_s", problem.c1)
+        lp.first_stage(r0, c0, problem.c1)
         prev = c0
     for t in range(max(first, 2), problem.H + 1):
         ct = c0 + col_off[t - first]
-        lp.columns(t, ct, "_s", problem.stage_block(t).c.eval_many(X))
+        lp.columns(t, ct, problem.stage_block(t).c.eval_many(X))
         lp.stage(t, X, r0 + row_off[t - first], ct, prev, state)
         prev = ct
     return lp.build(), c0, int(col_off[-1])
@@ -283,12 +277,12 @@ def _elastic(lp: LPInstance) -> LPInstance:
     slacks that relax every row (-e in a <= row, +e in a >= row, both in an
     = row) over lp's columns and bounds.  It is feasible for every
     right-hand side, and its value is 0 exactly where lp is feasible."""
-    senses = np.asarray(lp.senses, dtype="<U2")
-    rows = np.concatenate([np.flatnonzero(senses != LE), np.flatnonzero(senses != GE)])
+    rows = np.concatenate([np.flatnonzero(lp.senses != LE), np.flatnonzero(lp.senses != GE)])
     k = rows.size
     r = np.concatenate([np.repeat(np.arange(lp.nrows), np.diff(lp.indptr)), rows])
     c = np.concatenate([lp.indices, lp.ncols + np.arange(k)])
-    v = np.concatenate([lp.data, np.where(np.arange(k) < np.count_nonzero(senses != LE), 1.0, -1.0)])
+    v = np.concatenate([lp.data,
+                        np.where(np.arange(k) < np.count_nonzero(lp.senses != LE), 1.0, -1.0)])
     order = np.lexsort((c, r))
     return LPInstance(
         ncols=lp.ncols + k,
@@ -300,7 +294,6 @@ def _elastic(lp: LPInstance) -> LPInstance:
         data=v[order],
         senses=lp.senses,
         rhs=lp.rhs,
-        names=lp.names + tuple(f"elastic{i}" for i in range(k)),
     )
 
 
@@ -327,7 +320,8 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     (_elastic) solved too, and those bases join a second pool: a path on
     which one of them is primal feasible with a positive value is
     infeasible without a solve.  Other models, and solvers that report no
-    basis (the external one), solve every path.
+    basis (the external one), solve every path; after an optimal solve
+    without a basis, stacks hold the most paths and no phase 1 is solved.
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
     paths solved and certified, bases kept and rejected, LP solves, and the
@@ -340,13 +334,14 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
 
 def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 state: np.ndarray | None, s: int = 2, pools: dict | None = None,
-                recourse: bool = False) -> tuple[np.ndarray, np.ndarray | None, dict]:
+                recourse: bool = False) -> tuple[np.ndarray, np.ndarray | None, dict, bool]:
     """scenario_costs' loop over the per-path LPs _separable_blocks(problem,
     paths, state, s) builds, so without the constant c1'x1 of a fixed x1.
     Returns each path's optimal cost, its optimal solution laid out as one
     block (with recourse: the stack's solution for a solved path, z_B = B^-1
     b(xi) of its pooled basis for a priced one, zeros where the path has no
-    optimal solution) and the call's statistics.
+    optimal solution), the call's statistics, and whether the pool ran to
+    the end: T, W and c are constant and every optimal solve had a basis.
 
     pools keeps the basis pools across calls on LPs with the same A and c
     (same s): "optimal" prices costs, "phase1" certifies infeasibility.
@@ -383,7 +378,7 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     todo = np.arange(len(paths))
     size = min(FIRST_BATCH, per_chunk) if pooled else per_chunk
     while (todo := todo[~done[todo]]).size:
-        batch, todo, size = todo[:size], todo[size:], min(2 * size, per_chunk)
+        batch, todo = todo[:size], todo[size:]
         pending = [batch]
         while pending:
             idx = pending.pop()
@@ -404,7 +399,8 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 solved += idx.size
                 if recourse:
                     sol[idx] = Z
-                if more and res.basis is not None:  # None: the solver reports no basis
+                pooled &= res.basis is not None  # None: the solver reports no basis
+                if more and pooled:
                     offer("optimal", res.basis, X, st, cost)
             elif idx.size > 1:
                 half = idx.size // 2
@@ -417,12 +413,14 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 if infeasible and more:
                     phase1 = solve(_elastic(lp))
                     solves += 1
-                    if phase1.basis is not None:
+                    pooled &= phase1.basis is not None
+                    if pooled:
                         offer("phase1", phase1.basis, X, st, np.array([phase1.objective]))
             else:
                 raise SolverError(f"scenario solve ended with {res.status.value}")
             if pooled:
                 recheck()
+        size = min(2 * size, per_chunk) if pooled else per_chunk
     stats = {"paths": len(paths), "solved": solved, "certified": len(paths) - solved,
              "kept": sum(len(p.duals) for p in pools.values()),
              "rejected": sum(p.rejected for p in pools.values()), "solves": solves,
@@ -430,7 +428,7 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
               "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves, "
               "failed paths %(failed)s", stats, extra={"scenario_costs": stats})
-    return out, sol, stats
+    return out, sol, stats, pooled
 
 
 def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, state: np.ndarray | None,
@@ -489,11 +487,10 @@ class _BasisPool:
     POOL_TOL."""
 
     def __init__(self, lp: LPInstance):
-        senses = np.asarray(lp.senses, dtype="<U2")
-        self.A = np.hstack([lp._csr().toarray(), np.diag(np.where(senses == GE, -1.0, 1.0))])
+        self.A = np.hstack([lp._csr().toarray(), np.diag(np.where(lp.senses == GE, -1.0, 1.0))])
         self.c = np.concatenate([lp.obj, np.zeros(lp.nrows)])
-        self.fixed = np.concatenate([np.zeros(lp.ncols, bool), senses == EQ])
-        self.bounded = np.concatenate([np.isfinite(lp.lower), senses != EQ])
+        self.fixed = np.concatenate([np.zeros(lp.ncols, bool), lp.senses == EQ])
+        self.bounded = np.concatenate([np.isfinite(lp.lower), lp.senses != EQ])
         self.dual_tol = POOL_TOL * max(1.0, float(np.max(np.abs(self.c))))
         self.n, self.m = lp.ncols, lp.nrows
         # rows of B^-1 whose product with b must be >= 0: the bounded basic
@@ -747,7 +744,7 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
         master = require_optimal(solve(lp), "swc master")
         rounds, iterations = rounds + 1, iterations + master.iterations
         x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])
-        cost, Z, stats = _path_costs(problem, leaves, solve, x1, pools=pools, recourse=True)
+        cost, Z, stats, _ = _path_costs(problem, leaves, solve, x1, pools=pools, recourse=True)
         counts.update(solved=stats["solved"], certified=stats["certified"])
         if np.any(cost == -np.inf):
             return "unbounded tail"
@@ -789,8 +786,8 @@ def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: li
     ncols = 1 + n[0] + sum(len(j) * n[k] for k, j in enumerate(picks, start=1))
     nrows = m[0] + sum(len(j) * m[k] for k, j in enumerate(picks, start=1))
     lp = _Assembly(problem, nrows, ncols)
-    lp.lower[0], lp.obj[0], lp.names[0] = lower, 1.0, "gamma"
-    lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64), "")
+    lp.lower[0], lp.obj[0] = lower, 1.0
+    lp.first_stage(np.zeros(1, np.int64), np.ones(1, np.int64))
     starts = _certificate_blocks(lp, tree, picks)
     return lp.build(), starts
 
@@ -834,14 +831,17 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     master and every other node's block from its leaf's tail solution.
     Gives up, for the caller to solve the whole LP, and returns why:
     "unbounded tail", "no pooled dual" when no pooled basis prices a tail
-    that needs a cut (_tail_duals), or "repeated feasibility cut" when an
-    infeasible tail only repeats a cut the master already holds."""
+    that needs a cut (_tail_duals) or the anticipative pass saw no basis,
+    or "repeated feasibility cut" when an infeasible tail only repeats a
+    cut the master already holds."""
     t0 = time.perf_counter()
     n, S = problem.dims.n, tree.n_stages
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
-    anticipative = _path_costs(problem, leaves, solve, None)[0]
+    anticipative, _, _, pooled = _path_costs(problem, leaves, solve, None)
     if not np.all(np.isfinite(anticipative)):
         return "unbounded tail"  # or an infeasible leaf, whose whole LP is infeasible
+    if not pooled:
+        return "no pooled dual"  # the solver reports no basis, so no pool can fill
     master, first_col = _core_master(problem, tree, core, float(np.max(anticipative)))
     anc = [np.arange(len(leaves))]  # anc[k-1]: each leaf's level-k node
     for level in range(S - 1, 0, -1):
@@ -871,8 +871,8 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             T = problem.stage_block(s).T.base
             X = leaves.values[g]
             state = res.x[cols[:, -ns:]]  # x1, or the deepest core node's block
-            cost, Z, stats = _path_costs(problem, ScenarioPaths(X, leaves.widths), solve, state, s,
-                                         pools[d], recourse=True)
+            cost, Z, stats, _ = _path_costs(problem, ScenarioPaths(X, leaves.widths), solve,
+                                            state, s, pools[d], recourse=True)
             counts["solved"] += stats["solved"]
             counts["certified"] += stats["certified"]
             if np.any(cost == -np.inf):

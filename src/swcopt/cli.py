@@ -2,8 +2,8 @@
 
 Subcommands: complexity, solve-swc, exact, validate, experiment,
 benchmark-inventory.  A JSON config file may supply any long-flag value
-(dashes as underscores); explicit flags win over the file.  Exit codes:
-0 success, 2 usage error, 3 solver failure.
+(dashes as underscores); explicit flags win over the file, zeros included.
+Exit codes: 0 success, 2 usage error, 3 solver failure.
 """
 from __future__ import annotations
 
@@ -26,6 +26,10 @@ from .validation import empirical_violation, run_experiment, rvpi, write_referen
 
 def _fmt(v: float) -> str:
     return f"{v:.10g}"
+
+
+def _given(value, default):  # `value or default` would rewrite a given 0
+    return default if value is None else value
 
 
 def _parse_eps(value: str) -> list[float]:
@@ -51,16 +55,16 @@ def _add_solver_flags(sp) -> None:
 
 
 def _resolve_solver(args) -> str:
-    if getattr(args, "solver_cmd", None):
+    if getattr(args, "solver_cmd", None) is not None:
         return f"external:{args.solver_cmd}"
-    return args.solver or "highs"
+    return _given(args.solver, "highs")
 
 
 def _resolve_problem(args) -> MultistageRobustLP:
     if args.problem:
         return load_problem(args.problem)
     if args.benchmark == "inventory":
-        return inventory_benchmark(args.stages or 5, args.variant or "continuous")
+        return inventory_benchmark(_given(args.stages, 5), _given(args.variant, "continuous"))
     raise SystemExit2("pass --problem FILE or --benchmark inventory")
 
 
@@ -71,7 +75,7 @@ class SystemExit2(SystemExit):
 
 
 def _default_n0(args, problem) -> int:
-    if getattr(args, "n0", None):
+    if getattr(args, "n0", None) is not None:
         return args.n0
     if args.benchmark == "inventory":
         return BENCHMARK_N0
@@ -153,14 +157,15 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     values = json.loads(Path(args.config).read_text())
     for key, val in values.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
+        # unset: None, or False for a store_true flag (0 == False, so `is`)
+        if hasattr(args, attr) and (getattr(args, attr) is None or getattr(args, attr) is False):
             setattr(args, attr, val)
     return args
 
 
 def _cmd_complexity(args) -> int:
-    beta = args.beta if args.beta is not None else 1e-3
-    n0 = args.n0 if args.n0 is not None else 4
+    beta = _given(args.beta, 1e-3)
+    n0 = _given(args.n0, 4)
     for eps in _parse_eps(args.eps):
         N = sample_complexity(eps, beta, n0)
         if args.exact:
@@ -173,11 +178,11 @@ def _cmd_complexity(args) -> int:
 def _cmd_solve_swc(args) -> int:
     problem = _resolve_problem(args)
     solver = _resolve_solver(args)
-    seed = args.seed if args.seed is not None else 0
+    seed = _given(args.seed, 0)
     if args.samples is not None:
         N = args.samples
     elif args.eps is not None:
-        N = sample_complexity(args.eps, args.beta or 1e-3, _default_n0(args, problem))
+        N = sample_complexity(args.eps, _given(args.beta, 1e-3), _default_n0(args, problem))
     else:
         raise SystemExit2("pass --samples or --eps")
     paths = draw_paths(problem.uncertainty, N, [seed, 0])
@@ -213,9 +218,9 @@ def _cmd_validate(args) -> int:
     payload = json.loads(Path(args.solution).read_text())
     x1 = np.array(payload["x1"], dtype=float)
     gamma = float(payload["gamma"])
-    L = args.batches if args.batches is not None else 100
-    per = args.per_batch if args.per_batch is not None else int(payload.get("N", 1))
-    seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
+    L = _given(args.batches, 100)
+    per = _given(args.per_batch, int(payload.get("N", 1)))
+    seed = _given(args.seed, int(payload.get("seed", 0)))
     frac = empirical_violation(problem, x1, gamma, L=L, N=per, seed=[seed, 1], solver=solver)
     print(_fmt(frac))
     return 0
@@ -224,18 +229,18 @@ def _cmd_validate(args) -> int:
 def _cmd_experiment(args) -> int:
     problem = _resolve_problem(args)
     solver = _resolve_solver(args)
-    L = 1000 if args.paper_scale else (args.validation_batches or 100)
+    L = 1000 if args.paper_scale else _given(args.validation_batches, 100)
     report = run_experiment(
         problem,
         _parse_eps(args.eps),
-        args.beta if args.beta is not None else 1e-3,
-        args.instances if args.instances is not None else 100,
-        args.seed if args.seed is not None else 0,
+        _given(args.beta, 1e-3),
+        _given(args.instances, 100),
+        _given(args.seed, 0),
         solver,
         n0=_default_n0(args, problem),
         L=L,
         compute_bounds=args.bounds,
-        jobs=args.jobs or 1,
+        jobs=_given(args.jobs, 1),
         verbose=args.verbose,
     )
     report.write_csvs(args.out)
@@ -250,18 +255,18 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_benchmark_inventory(args) -> int:
-    L = 1000 if args.paper_scale else (args.validation_batches or 100)
+    L = 1000 if args.paper_scale else _given(args.validation_batches, 100)
     run_paper_grid(
-        variant=args.variant or "continuous",
-        stages=args.stages or 5,
+        variant=_given(args.variant, "continuous"),
+        stages=_given(args.stages, 5),
         out_dir=args.out,
-        epsilons=_parse_eps(args.eps) if args.eps else PAPER_EPSILONS,
-        instances=args.instances if args.instances is not None else 100,
-        base_seed=args.seed if args.seed is not None else 20160001,
+        epsilons=PAPER_EPSILONS if args.eps is None else _parse_eps(args.eps),
+        instances=_given(args.instances, 100),
+        base_seed=_given(args.seed, 20160001),
         solver=_resolve_solver(args),
-        jobs=args.jobs or 1,
+        jobs=_given(args.jobs, 1),
         L=L,
-        max_samples=args.max_samples if args.max_samples is not None else 2000,
+        max_samples=_given(args.max_samples, 2000),
         verbose=args.verbose,
     )
     return 0

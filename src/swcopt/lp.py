@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import LE, EQ, GE
+from .model import LE, EQ, GE, _freeze
 
 
 class Status(enum.Enum):
@@ -96,8 +96,6 @@ class LPBuilder:
 
     def add_row(self, cols: Sequence[int], vals: Sequence[float], sense: str, rhs: float,
                 name=None) -> int:
-        if sense not in (LE, EQ, GE):
-            raise ValueError(f"unknown sense {sense!r}")
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and (cols.min() < 0 or cols.max() >= self.ncols):
             raise ValueError("row references an undefined variable")
@@ -142,10 +140,19 @@ class LPInstance:
     indptr: np.ndarray   # CSR row pointers
     indices: np.ndarray
     data: np.ndarray
-    senses: tuple[str, ...]
+    senses: np.ndarray   # <=, = or >= per row, from any sequence; held read-only as "<U2"
     rhs: np.ndarray
     names: tuple[str, ...] = ()
     row_names: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        senses = np.asarray(self.senses)
+        if senses.shape != (len(self.rhs),):
+            raise ValueError(f"{senses.size} row senses for {len(self.rhs)} rows")
+        unknown = senses[~np.isin(senses, (LE, EQ, GE))].tolist()
+        if unknown:
+            raise ValueError(f"unknown row sense {unknown[0]!r}")
+        object.__setattr__(self, "senses", _freeze(senses, "<U2"))
 
     @property
     def nrows(self) -> int:
@@ -176,11 +183,10 @@ class LPInstance:
     def to_scipy(self):
         """Split rows into (A_ub, b_ub, A_eq, b_eq); >= rows enter A_ub negated.
         A part without rows is None."""
-        senses = np.asarray(self.senses, dtype="<U2")
-        sign = np.where(senses == GE, -1.0, 1.0)
+        sign = np.where(self.senses == GE, -1.0, 1.0)
         A = self._csr(self.data * np.repeat(sign, np.diff(self.indptr)))
         A.sum_duplicates()  # canonical rows: sorted columns, repeats summed
-        eq = senses == EQ
+        eq = self.senses == EQ
         return (A[~eq] if (~eq).any() else None, (sign * self.rhs)[~eq],
                 A[eq] if eq.any() else None, self.rhs[eq])
 
@@ -221,8 +227,7 @@ def _colwise(lp: LPInstance) -> tuple[np.ndarray, ...]:
     by column, then row; explicit zeros stay.  Repeated entries of a row are
     summed by scipy's sum_duplicates, so in its order; without them, which
     is the rule for the builders' LPs, all of it is one numpy pass."""
-    senses = np.asarray(lp.senses, dtype="<U2")
-    sign, eq = np.where(senses == GE, -1.0, 1.0), senses == EQ
+    sign, eq = np.where(lp.senses == GE, -1.0, 1.0), lp.senses == EQ
     perm = np.argsort(eq, kind="stable")  # to_scipy's rows, in order
     row = np.empty(lp.nrows, np.int64)
     row[perm] = np.arange(lp.nrows)
@@ -311,7 +316,7 @@ def solve_highs(lp: LPInstance) -> SolveResult:
         status, basic = (highs.getBasicVariables() if highs.getNumNz()
                          else (None, np.arange(-lp.nrows, 0)))
         if status != _highs_core().HighsStatus.kError:
-            rows = np.argsort(np.asarray(lp.senses, dtype="<U2") == EQ, kind="stable")
+            rows = np.argsort(lp.senses == EQ, kind="stable")
             basic, slack = basic.astype(np.int64), basic < 0  # HiGHS row k is lp's rows[k]
             basic[slack] = -1 - rows[-1 - basic[slack]]
             res.basis = np.sort(basic)
@@ -359,8 +364,8 @@ class GrowingLP:
                 self._lp = replace(
                     lp, indptr=np.concatenate([lp.indptr, lp.indptr[-1] + np.cumsum(counts)]),
                     indices=np.concatenate([lp.indices, indices]),
-                    data=np.concatenate([lp.data, data]), senses=lp.senses + (LE,) * rhs.size,
-                    rhs=np.concatenate([lp.rhs, rhs]))
+                    data=np.concatenate([lp.data, data]), rhs=np.concatenate([lp.rhs, rhs]),
+                    senses=np.concatenate([lp.senses, np.full(rhs.size, LE)]))
             return self._solve(self._lp)
         highs, loaded = self._highs
         if rows and loaded:

@@ -23,9 +23,9 @@ LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
 
 
-def _freeze(a) -> np.ndarray:
+def _freeze(a, dtype=float) -> np.ndarray:
     """A read-only view of a as an array (the caller's array stays writeable)."""
-    arr = np.asarray(a, dtype=float).view()
+    arr = np.asarray(a, dtype=dtype).view()
     arr.flags.writeable = False
     return arr
 
@@ -368,13 +368,6 @@ class MultistageRobustLP:
     def xi_dim_through(self, t: int) -> int:
         """Flat uncertainty dimension revealed before stage t decisions."""
         return sum(self.uncertainty.dim(s) for s in range(1, t))
-
-    def default_names(self) -> tuple[tuple[str, ...], ...]:
-        if self.var_names is not None:
-            return self.var_names
-        return tuple(
-            tuple(f"x{t + 1}_{k}" for k in range(nt)) for t, nt in enumerate(self.dims.n)
-        )
 
 
 def evaluate_coefficients(

@@ -93,14 +93,13 @@ def _standardize(lp: LPInstance) -> _StandardForm | None:
     rows = lp._csr()
     AR = rows @ R  # sums each row's terms in stored order and drops exact zeros
     r = lp.rhs - rows @ const
-    senses = np.asarray(lp.senses, dtype="<U2")
     empty = np.diff(AR.indptr) == 0
-    if (empty & ~(row_excess(senses, 0.0, r) <= 1e-12)).any():
+    if (empty & ~(row_excess(lp.senses, 0.0, r) <= 1e-12)).any():
         return None
 
     nbox = int(boxed.sum())
     box = sparse.csr_matrix((np.ones(nbox), start[boxed], np.arange(nbox + 1)), shape=(nbox, nstd))
-    senses = np.concatenate([senses[~empty], np.full(nbox, LE)])
+    senses = np.concatenate([lp.senses[~empty], np.full(nbox, LE)])
     b = np.concatenate([r[~empty], (hi - lo)[boxed]])
     has_slack = senses != EQ
     n_slack = int(has_slack.sum())

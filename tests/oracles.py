@@ -475,17 +475,16 @@ def relaxed_grouping(paths: list[ScenarioPath]) -> ScenarioPrefixTree:
 # The certificate, deterministic and stacked per-path LPs built one variable
 # and one row at a time through LPBuilder: the assembly swcopt.builders used
 # before its vectorised emitter, kept as the oracle of the differential test
-# in test_assembly.py.  First-stage columns of stacked blocks carry the
-# per-path tag "_s{i}", as later stages do, and build_swc returns its column
-# layout as the plain triple (gamma, x1, blocks).
+# in test_assembly.py.  Columns get LPBuilder's default names x0, x1, ...,
+# the names the interchange writer gives the builders' unnamed columns, and
+# build_swc returns its column layout as the plain triple (gamma, x1, blocks).
 
-def _add_first_stage(b: LPBuilder, problem: MultistageRobustLP, names, obj_c1=False,
-                     tag: str = "") -> range:
+def _add_first_stage(b: LPBuilder, problem: MultistageRobustLP, obj_c1=False) -> range:
     cols = []
     for k in range(problem.dims.n[0]):
         lo = 0.0 if problem.nonneg[0][k] else -np.inf
         obj = float(problem.c1[k]) if obj_c1 else 0.0
-        cols.append(b.add_var(lo, np.inf, obj, f"{names[0][k]}{tag}"))
+        cols.append(b.add_var(lo, np.inf, obj))
     for i in range(problem.dims.m[0]):
         row = problem.A[i]
         nz = np.nonzero(row)[0]
@@ -514,13 +513,13 @@ def _add_stage_rows(
         b.add_row(r_cols, r_vals, blk.senses[i], h[i])
 
 
-def _add_stage_vars(b: LPBuilder, problem: MultistageRobustLP, t: int, tag: str, names,
+def _add_stage_vars(b: LPBuilder, problem: MultistageRobustLP, t: int,
                     obj: np.ndarray | None = None) -> range:
     cols = []
     for k in range(problem.dims.n[t - 1]):
         lo = 0.0 if problem.nonneg[t - 1][k] else -np.inf
         coef = float(obj[k]) if obj is not None else 0.0
-        cols.append(b.add_var(lo, np.inf, coef, f"{names[t - 1][k]}{tag}"))
+        cols.append(b.add_var(lo, np.inf, coef))
     return range(cols[0], cols[-1] + 1)
 
 
@@ -537,15 +536,14 @@ def build_swc(
     H = problem.H
     if tree.n_stages != H - 1:
         raise ValueError(f"tree has {tree.n_stages} stages, problem expects {H - 1}")
-    names = problem.default_names()
     b = LPBuilder()
-    gamma = b.add_var(-np.inf, np.inf, 1.0, "gamma")
-    x1 = _add_first_stage(b, problem, names)
+    gamma = b.add_var(-np.inf, np.inf, 1.0)
+    x1 = _add_first_stage(b, problem)
 
     blocks: dict[tuple[int, int], range] = {}
     for level in range(1, H):  # tree level = uncertainty stage; decision stage level+1
         for j in range(tree.n_nodes(level)):
-            blocks[(level + 1, j)] = _add_stage_vars(b, problem, level + 1, f"_n{level}_{j}", names)
+            blocks[(level + 1, j)] = _add_stage_vars(b, problem, level + 1)
 
     for level in range(1, H):
         t = level + 1
@@ -579,13 +577,12 @@ def build_swc(
 def build_deterministic(problem: MultistageRobustLP, path: ScenarioPath) -> LPInstance:
     """Fully anticipative single-scenario LP (all stages decided knowing the path)."""
     _check_problem(problem)
-    names = problem.default_names()
     b = LPBuilder()
-    x1 = _add_first_stage(b, problem, names, obj_c1=True)
+    x1 = _add_first_stage(b, problem, obj_c1=True)
     prev = x1
     for t in range(2, problem.H + 1):
         xi = path.flat(t - 1)
-        cols = _add_stage_vars(b, problem, t, "", names, obj=problem.stage_block(t).c(xi))
+        cols = _add_stage_vars(b, problem, t, obj=problem.stage_block(t).c(xi))
         _add_stage_rows(b, problem, t, xi, prev, cols)
         prev = cols
     return b.build()
@@ -599,23 +596,20 @@ def _separable_blocks(
     """Block-diagonal stack of per-path LPs (independent blocks, summed
     objective).  With x1 fixed the blocks are the recourse problems over
     stages 2..H; otherwise each block is the full deterministic LP."""
-    names = problem.default_names()
     b = LPBuilder()
     block_cols: list[range] = []
     consts: list[float] = []
-    for i, path in enumerate(paths):
+    for path in paths:
         start = b.ncols
         if x1 is None:
-            prev = _add_first_stage(b, problem, names, obj_c1=True, tag=f"_s{i}")
+            prev = _add_first_stage(b, problem, obj_c1=True)
             const = 0.0
         else:
             prev = None
             const = float(problem.c1 @ x1)
         for t in range(2, problem.H + 1):
             xi = path.flat(t - 1)
-            cols = _add_stage_vars(
-                b, problem, t, f"_s{i}", names, obj=problem.stage_block(t).c(xi)
-            )
+            cols = _add_stage_vars(b, problem, t, obj=problem.stage_block(t).c(xi))
             if t == 2 and x1 is not None:
                 blk = problem.stage_block(2)
                 T, W, h = blk.T(xi), blk.W(xi), blk.h(xi)

@@ -5,12 +5,11 @@ the one the row-wise reference builders in oracles.py emit for the same
 input; so must the sparse split that feeds HiGHS.  The certificate LPs are
 compared from draw to LP: the array paths and their lexsort prefix tree
 feed the builder, the oracle's tuple paths and dict tree feed the oracle
-builder.  Intended differences: the builders leave row_names empty (the
-interchange writer then names rows c0, c1, ... as the oracle does, so the
-written files are identical), and build_deterministic is the one-path
-stack, so its columns carry the tag "_s0".  Row activities and the worst
-violation sum in another order than the row loop and may differ from it by
-rounding.
+builder.  Intended differences: the builders leave names and row_names
+empty (the interchange writer then names columns x0, x1, ... and rows c0,
+c1, ... as the oracle's LPBuilder does, so the written files are
+identical).  Row activities and the worst violation sum in another order
+than the row loop and may differ from it by rounding.
 """
 import dataclasses
 import itertools
@@ -40,15 +39,12 @@ def _same_array(a, b, what):
     assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), what
 
 
-def assert_same_lp(new: LPInstance, old: LPInstance, names=None):
-    assert new.row_names == ()
-    if names is None:
-        assert write_interchange(new) == write_interchange(old)
+def assert_same_lp(new: LPInstance, old: LPInstance):
+    assert new.names == new.row_names == ()
+    assert write_interchange(new) == write_interchange(old)
     for field in dataclasses.fields(LPInstance):
         a, b = getattr(new, field.name), getattr(old, field.name)
-        if field.name == "names" and names is not None:
-            b = names
-        if field.name == "row_names":
+        if field.name in ("names", "row_names"):
             b = ()
         if isinstance(a, np.ndarray):
             _same_array(a, b, field.name)
@@ -95,9 +91,8 @@ def assert_same_stacks(problem, paths, x1):
         old, block_cols, _ = oracles._separable_blocks(problem, paths, fixed)
         assert_same_lp(new, old)
         assert [range(s, s + width) for s in starts] == block_cols
-    det = oracles.build_deterministic(problem, paths[0])
-    assert_same_lp(build_deterministic(problem, paths[0]), det,
-                   names=tuple(f"{nm}_s0" for nm in det.names))
+    assert_same_lp(build_deterministic(problem, paths[0]),
+                   oracles.build_deterministic(problem, paths[0]))
 
 
 @settings(max_examples=30, deadline=None)

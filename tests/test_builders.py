@@ -232,16 +232,18 @@ def test_relaxed_value_between_sws_and_swc():
     assert relaxed <= swc + 1e-7
 
 
-def _scripted_solver(statuses):
+def _scripted_solver(statuses, bases=True):
     """Stub solver: answers each solve with the next status (x = 0 when
-    optimal), and records every LP it got."""
+    optimal, with bases on the basis of every row's slack, so that it
+    reports a basis as HiGHS does), and records every LP it got."""
     seen = []
 
     def solve(lp):
         seen.append(lp)
         status = statuses[len(seen) - 1]
         if status is Status.OPTIMAL:
-            return SolveResult(status, 5.0, np.zeros(lp.ncols))
+            basis = np.arange(-lp.nrows, 0) if bases else None
+            return SolveResult(status, 5.0, np.zeros(lp.ncols), basis=basis)
         return SolveResult(status, None, None)
 
     return solve, seen
@@ -263,6 +265,19 @@ def test_scenario_costs_bisects_a_nonoptimal_stack():
     elastic = sum(2 if s == "=" else 1 for s in seen[3].senses)
     assert seen[4].ncols == seen[3].ncols + elastic
     assert seen[4].obj.tolist() == [0.0] * seen[3].ncols + [1.0] * elastic
+
+
+def test_scenario_costs_solves_no_phase_1_after_a_solve_without_basis():
+    # the bisection above, on a solver that reports no basis: path 0's result
+    # has none, so path 1's infeasibility gets no elastic phase 1
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
+    solve, seen = _scripted_solver([Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE,
+                                    Status.INFEASIBLE, Status.UNBOUNDED], bases=False)
+    costs = scenario_costs(problem, paths, solve, x1=np.array([50.0, 60.0, 0.0]))
+    assert costs[1] == np.inf and costs[2] == -np.inf
+    rows = seen[1].nrows
+    assert [lp.nrows for lp in seen] == [3 * rows, rows, 2 * rows, rows, rows]
 
 
 def test_scenario_costs_iteration_limit_is_a_solver_error():

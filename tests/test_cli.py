@@ -110,6 +110,15 @@ def test_flags_override_config(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "63"
 
 
+def test_explicit_zero_overrides_config(tmp_path, capsys):
+    cfg, out = tmp_path / "run.json", tmp_path / "sol.json"
+    cfg.write_text(json.dumps({"seed": 5, "samples": 20}))
+    assert main(["--config", str(cfg), "solve-swc", "--benchmark", "inventory", "--stages", "2",
+                 "--seed", "0", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["seed"] == 0 and payload["N"] == 20
+
+
 def test_experiment_reruns_byte_identical(tmp_path):
     args = [
         "experiment", "--benchmark", "inventory", "--stages", "2",

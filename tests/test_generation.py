@@ -415,11 +415,20 @@ def test_degenerate_tails_price_on_the_solvers_bases(seed, caplog):
 
 
 def test_a_solver_without_bases_solves_shared_trees_whole(caplog):
-    # as the external solver: no basis, so no pool and no cut
+    # as the external solver: no basis, so no pool and no cut.  The core method
+    # gives up after its anticipative pass (a first stack of FIRST_BATCH leaves,
+    # then the rest in one), and the whole LP is the third solve
     problem = inventory_benchmark(4, "integer")
     paths = draw_paths(problem.uncertainty, 189, [11, 0])
+    calls = []
+
+    def solve(lp):
+        calls.append(lp)
+        return replace(solve_highs(lp), basis=None)
+
     with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
-        value = solve_swc_paths(problem, paths, lambda lp: replace(solve_highs(lp), basis=None))[0]
+        value = solve_swc_paths(problem, paths, solve)[0]
     stats = solve_record(caplog)
     assert stats["method"] == "monolithic" and stats["fallback"] == "no pooled dual"
+    assert len(calls) == 3
     assert value == pytest.approx(solve_swc_paths(problem, paths)[0], rel=1e-9)

@@ -15,9 +15,10 @@ from oracles import assert_basis_gives_x, linprog_highs, random_lp
 from swcopt import lp as lp_module
 from swcopt.builders import solve_swc_paths, sws_value, swct_value
 from swcopt.inventory import inventory_benchmark
-from swcopt.lp import (GrowingLP, LPBuilder, SolverError, Status, _colwise, get_solver,
-                       solve_highs)
+from swcopt.lp import (GrowingLP, LPBuilder, LPInstance, SolverError, Status, _colwise,
+                       get_solver, solve_highs)
 from swcopt.sampling import draw_paths
+from swcopt.simplex import solve_builtin
 from swcopt.validation import empirical_violation
 from test_simplex import small_lps
 
@@ -153,6 +154,21 @@ def test_nan_bounds_raise():
     lp = _two_columns()
     with pytest.raises(ValueError, match="nan"):
         solve_highs(replace(lp, upper=np.array([np.nan, np.inf])))
+
+
+def test_an_lp_refuses_unknown_and_missing_row_senses():
+    # unchecked, min x s.t. x => 1 solved to 0 on HiGHS (read as <=) and to 1
+    # on the builtin simplex (read as >=)
+    one = dict(ncols=1, lower=np.zeros(1), upper=np.full(1, np.inf), obj=np.ones(1),
+               indptr=np.array([0, 1]), indices=np.array([0]), data=np.ones(1), rhs=np.ones(1))
+    with pytest.raises(ValueError, match="unknown row sense '=>'"):
+        LPInstance(senses=("=>",), **one)
+    with pytest.raises(ValueError, match="0 row senses for 1 rows"):
+        LPInstance(senses=(), **one)
+    senses = np.array([">="])
+    lp = LPInstance(senses=senses, **one)
+    assert lp.senses.dtype == "<U2" and not lp.senses.flags.writeable and senses.flags.writeable
+    assert solve_highs(lp).objective == solve_builtin(lp).objective == 1.0
 
 
 def test_a_scipy_without_the_binding_names_the_version_it_needs(monkeypatch):

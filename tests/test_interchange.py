@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import random_lp
-from swcopt.builders import scenario_costs
+from swcopt.builders import build_swc, scenario_costs
 from swcopt.inventory import inventory_benchmark
 from swcopt.interchange import (
     ENV_SOLVER,
@@ -17,8 +17,8 @@ from swcopt.interchange import (
     write_interchange,
     write_solution,
 )
-from swcopt.lp import LPBuilder, Status
-from swcopt.sampling import draw_paths
+from swcopt.lp import LPBuilder, Status, solve_highs
+from swcopt.sampling import build_prefix_tree, draw_paths
 from swcopt.simplex import solve_builtin
 
 WORKER_CMD = f"{sys.executable} -m swcopt.external_worker"
@@ -182,3 +182,15 @@ def test_external_stacked_costs_match_highs():
     highs = scenario_costs(problem, paths, "highs")
     external = scenario_costs(problem, paths, f"external:{WORKER_CMD}")
     np.testing.assert_allclose(external, highs, rtol=0, atol=1e-6)
+
+
+def test_builder_lps_solve_externally_as_on_highs():
+    # the builders name no columns, so the file names them x0, x1, ... and the
+    # solution is matched back by those names
+    problem = inventory_benchmark(5)
+    lp, _ = build_swc(problem, build_prefix_tree(draw_paths(problem.uncertainty, 63, [63, 0])))
+    assert lp.names == () and "x0" in write_interchange(lp)
+    rx, rh = solve_external(lp, WORKER_CMD), solve_highs(lp)
+    assert rx.status is rh.status is Status.OPTIMAL
+    assert rx.objective == rh.objective
+    np.testing.assert_array_equal(rx.x, rh.x)

@@ -6,6 +6,7 @@ VIOLATION_TOL) and costs within 1e-9 relative, with the same infinite
 costs for infeasible and unbounded paths.
 """
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,26 @@ def test_debug_record_counts_an_infeasible_path(caplog):
                      "rejected": 0, "solves": 2, "failed": {"infeasible": 1}}
     assert stats["kept"] >= 1
     assert "40 paths, 33 solved, 7 certified" in caplog.records[-1].getMessage()
+
+
+def test_a_solver_without_bases_stacks_every_other_path_at_once(caplog):
+    # the first stack's result carries no basis, so no pool can fill: the other
+    # 1968 paths go to the solver as one stack of at most CHUNK_ROWS rows
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 2000, [5, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    calls = []
+
+    def solve(lp):
+        calls.append(lp.nrows)
+        return replace(solve_highs(lp), basis=None)
+
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        costs = scenario_costs(problem, paths, solve, x1=x1)
+    stats = pool_record(caplog)
+    assert stats["solves"] == len(calls) == 2 and stats["solved"] == 2000
+    assert calls[1] == 1968 * calls[0] // 32
+    np.testing.assert_allclose(costs, scenario_costs(problem, paths, x1=x1), rtol=1e-9)
 
 
 def test_split_stacks_feed_both_pools(caplog):

@@ -345,7 +345,7 @@ def _stack(lps):
         indptr=cat([[0]] + [lp.indptr[1:] + k for lp, k in zip(lps, nnz)]),
         indices=cat([lp.indices + k for lp, k in zip(lps, offsets)]),
         data=cat([lp.data for lp in lps]),
-        senses=sum((lp.senses for lp in lps), ()), rhs=cat([lp.rhs for lp in lps]),
+        senses=cat([lp.senses for lp in lps]), rhs=cat([lp.rhs for lp in lps]),
     )
 
 
