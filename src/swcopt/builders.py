@@ -59,6 +59,7 @@ POOL_TOL = 1e-9  # relative tolerance of the basis pool's checks
 FIRST_LEAVES = 8  # leaves in _solve_grouping's first master
 ADD_LEAVES = 20  # most violated leaves added to the working set per round
 LEAF_TOL = 1e-9  # absolute budget excess at which a leaf counts as violated
+POOL_KINDS = ("optimal", "phase1")  # _path_costs' basis pools
 
 log = logging.getLogger(__name__)
 
@@ -345,13 +346,15 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
 
     pools keeps the basis pools across calls on LPs with the same A and c
     (same s): "optimal" prices costs, "phase1" certifies infeasibility.
-    When it is given, every solved path offers its basis."""
+    When it is given, every solved path offers its basis, and an optimal
+    solve without a basis is recorded there ("bases": False), so that later
+    calls stack the most paths from their first solve."""
     first = 1 if state is None else s
     rows_per = sum(problem.dims.m[first - 1:])
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
-    pooled = rows_per > 0 and _recourse_is_constant(problem)
     keep = pools is not None
     pools = {} if pools is None else pools
+    pooled = rows_per > 0 and _recourse_is_constant(problem) and pools.get("bases", True)
     marks = {}  # bases of each pool that every unresolved path has been priced on
     done = np.zeros(len(paths), bool)
     out = np.empty(len(paths))
@@ -367,8 +370,9 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
         pools[kind].harvest(basis, _path_rhs(problem, X, st, s), cost)
 
     def recheck() -> None:
-        for kind, pool in pools.items():
-            if len(pool.duals) > marks.get(kind, 0):
+        for kind in POOL_KINDS:
+            pool = pools.get(kind)
+            if pool is not None and len(pool.duals) > marks.get(kind, 0):
                 _certify(problem, paths, state, s, pool, marks.get(kind, 0), np.flatnonzero(~done),
                          out, sol, done, kind == "phase1")
                 marks[kind] = len(pool.duals)
@@ -399,7 +403,8 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 solved += idx.size
                 if recourse:
                     sol[idx] = Z
-                pooled &= res.basis is not None  # None: the solver reports no basis
+                if res.basis is None:  # the solver reports no basis, now and in later calls
+                    pooled = pools["bases"] = False
                 if more and pooled:
                     offer("optimal", res.basis, X, st, cost)
             elif idx.size > 1:
@@ -422,9 +427,9 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                 recheck()
         size = min(2 * size, per_chunk) if pooled else per_chunk
     stats = {"paths": len(paths), "solved": solved, "certified": len(paths) - solved,
-             "kept": sum(len(p.duals) for p in pools.values()),
-             "rejected": sum(p.rejected for p in pools.values()), "solves": solves,
-             "failed": dict(failed)}
+             "kept": sum(len(pools[k].duals) for k in POOL_KINDS if k in pools),
+             "rejected": sum(pools[k].rejected for k in POOL_KINDS if k in pools),
+             "solves": solves, "failed": dict(failed)}
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
               "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves, "
               "failed paths %(failed)s", stats, extra={"scenario_costs": stats})
@@ -678,11 +683,11 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
     method, rounds, leaves, the last master's rows and columns and the
     summed master iterations; a generated solve adds the leaves solved and
     certified by pricing over all rounds, a core solve its core nodes per
-    stage, its optimality and feasibility cuts, and the tails solved and
-    certified by pricing (all also as the record's `solve_swc` dict, where
-    a core solve also lists the master's iterations per round,
-    master_iterations).  A monolithic solve after a method gave up adds
-    why, `fallback`.
+    stage, its optimality and feasibility cuts, the dominated cuts it
+    dropped, and the tails solved and certified by pricing (all also as
+    the record's `solve_swc` dict, where a core solve also lists the
+    master's iterations per round, master_iterations).  A monolithic
+    solve after a method gave up adds why, `fallback`.
     """
     K = grouping.node_counts()
     found = None
@@ -707,8 +712,8 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
         message += ", fallback %(fallback)s"
     if stats["method"] == "core":
         message += (", core nodes %(core)s, cuts %(optimality_cuts)d optimality + "
-                    "%(feasibility_cuts)d feasibility, tails %(solved)d solved + "
-                    "%(certified)d certified")
+                    "%(feasibility_cuts)d feasibility, %(dropped)d dropped, "
+                    "tails %(solved)d solved + %(certified)d certified")
     elif stats["method"] == "generated":
         message += ", pricing %(solved)d solved + %(certified)d certified"
     log.debug(message, stats, extra={"solve_swc": stats})
@@ -725,14 +730,15 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     LEAF_TOL) until none is.  The leaves' recourse LPs share A and c in
     every round, only b(xi, x1) moving with x1, so one pair of basis pools
     is kept across the rounds, as _solve_core keeps its pools: a basis
-    found in round 1 prices the same leaf later without a solve.  The
-    master is a relaxation whose (x1, gamma) ends feasible for every leaf,
-    so its value is the LP's optimum; x holds each leaf's recourse from the
-    last pricing pass.  Each master is the relaxed grouping of its working
-    set, the same LP as its prefix tree when no prefix is shared.  Gives
-    up, returning "unbounded tail", when a leaf's recourse is unbounded at
-    the master's x1 (its budget row is slack, but no recourse vector comes
-    from pricing)."""
+    found in round 1 prices the same leaf later without a solve, and a
+    solver that reports no basis gets the most leaves per stack from round
+    2 on.  The master is a relaxation whose (x1, gamma) ends feasible for
+    every leaf, so its value is the LP's optimum; x holds each leaf's
+    recourse from the last pricing pass.  Each master is the relaxed
+    grouping of its working set, the same LP as its prefix tree when no
+    prefix is shared.  Gives up, returning "unbounded tail", when a leaf's
+    recourse is unbounded at the master's x1 (its budget row is slack, but
+    no recourse vector comes from pricing)."""
     t0 = time.perf_counter()
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     work = np.arange(min(FIRST_LEAVES, len(leaves)))
@@ -792,14 +798,27 @@ def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: li
     return lp.build(), starts
 
 
-def _tail_duals(pool: "_BasisPool | None", B: np.ndarray) -> np.ndarray | None:
-    """Optimal dual vectors of the pool's LP at the right-hand sides B (K,
-    m), from the pooled bases that price them; None when there is no pool
-    or a row is priced by none (its basis was rejected, or never reported)."""
+def _tail_duals(pool: "_BasisPool | None",
+                B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pooled bases that price the right-hand sides B (K, m) of the
+    pool's LP, by index in the pool, and their optimal dual vectors; None
+    when there is no pool or a row is priced by none (its basis was
+    rejected, or never reported)."""
     if pool is None:
         return None
     which, _ = pool.price(B, 0)
-    return None if np.any(which < 0) else np.asarray(pool.duals)[which]
+    return None if np.any(which < 0) else (which, np.asarray(pool.duals)[which])
+
+
+def _tightest(keys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The rows <= rhs to keep of cuts whose coefficients are equal where
+    their keys (K, q) are: in each group of equal keys the one with the
+    smallest right-hand side (the first on a tie), which implies the
+    others.  Returns their indices, ascending."""
+    order = np.lexsort((rhs, *keys.T[::-1]))
+    k = keys[order]
+    lead = np.concatenate([[True], np.any(k[1:] != k[:-1], axis=1)])
+    return np.sort(order[lead])
 
 
 def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: list[np.ndarray],
@@ -824,6 +843,16 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     feasibility cut sigma'b(xi, x_d) <= 0 with sigma those of a pooled
     basis of its elastic phase 1.  The bound gamma >= max over leaves of
     the anticipative optimum keeps the first masters bounded.
+
+    Within a round, the new cuts of one kind from leaves with the same
+    deepest core node have the same columns, and those priced on the same
+    pooled basis the same duals, so the same coefficients: they differ
+    only in their right-hand sides y'h(xi), and the one with the smallest
+    implies the rest.  The round adds that one of each group (_tightest)
+    and counts the others as dropped.  The master after the round has the
+    same feasible set as with every cut, and the loop ends as before, so
+    the method stays exact.  Only added cuts count as held, so a leaf whose
+    cut was dropped and that is still over later offers its cut again.
 
     The loop ends when no leaf is over, or over only by a cut the master
     already holds (so within the master solver's tolerance); the master is
@@ -880,26 +909,34 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             tails.append(Z)
             over = np.flatnonzero(np.isfinite(cost) & (res.x[cols] @ coef + cost > LEAF_TOL))
             for kind, idx in (("optimal", over), ("phase1", np.flatnonzero(cost == np.inf))):
-                Y = (_tail_duals(pools[d].get(kind), _path_rhs(problem, X[idx], state[idx], s))
-                     if idx.size else np.empty((0, 0)))
-                if Y is None:
+                if not idx.size:
+                    continue
+                found = _tail_duals(pools[d].get(kind), _path_rhs(problem, X[idx], state[idx], s))
+                if found is None:
                     return "no pooled dual"
+                which, Y = found
                 new = np.array([(kind, i, y.tobytes()) not in seen
                                 for i, y in zip(g[idx].tolist(), Y)], dtype=bool)
                 if kind == "phase1" and not new.all():
                     # the master holds this cut already, within its tolerance
                     return "repeated feasibility cut"
-                seen.update((kind, i, y.tobytes()) for i, y in zip(g[idx].tolist(), Y))
-                idx, Y = idx[new], Y[new]
+                idx, which, Y = idx[new], which[new], Y[new]
                 if not idx.size:
                     continue
-                h = _path_rhs(problem, X[idx], np.zeros((idx.size, ns)), s)
+                rhs = -np.sum(Y * _path_rhs(problem, X[idx], np.zeros((idx.size, ns)), s), axis=1)
+                # one deepest core node (so the same columns) and one pooled
+                # basis (so the same duals): the same coefficients
+                node = anc[d - 1][g[idx]] if d else np.zeros(idx.size, np.int64)
+                keep = _tightest(np.column_stack([node, which]), rhs)
+                counts["dropped"] += idx.size - keep.size
+                idx, Y, rhs = idx[keep], Y[keep], rhs[keep]
+                seen.update((kind, i, y.tobytes()) for i, y in zip(g[idx].tolist(), Y))
                 if kind == "optimal":
                     vals = np.tile(coef, (idx.size, 1))
                     vals[:, -ns:] -= Y[:, : T.shape[0]] @ T
-                    lp.add_rows(cols[idx], vals, -np.sum(Y * h, axis=1))
+                    lp.add_rows(cols[idx], vals, rhs)
                 else:
-                    lp.add_rows(cols[idx, -ns:], -Y[:, : T.shape[0]] @ T, -np.sum(Y * h, axis=1))
+                    lp.add_rows(cols[idx, -ns:], -Y[:, : T.shape[0]] @ T, rhs)
                 counts[kind] += idx.size
                 added += idx.size
         if not added:
@@ -926,4 +963,5 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                     "master_iterations": master_iterations,
                     "core": [int(c.sum()) for c in core],
                     "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["phase1"],
-                    "solved": counts["solved"], "certified": counts["certified"]}
+                    "dropped": counts["dropped"], "solved": counts["solved"],
+                    "certified": counts["certified"]}

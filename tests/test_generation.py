@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcopt.builders import (_solve_grouping, build_swc, exact_value, hybrid_paths,
+from swcopt import builders
+from swcopt.builders import (_core_nodes, _solve_grouping, build_swc, exact_value, hybrid_paths,
                              relaxed_grouping, scenario_costs, solve_swc_paths, swct_value,
                              vertex_paths)
 from swcopt.inventory import inventory_benchmark
-from swcopt.lp import SolverError, get_solver, require_optimal, solve_highs
+from swcopt.lp import GrowingLP, SolverError, get_solver, require_optimal, solve_highs
 from swcopt.model import (GE, AffineMap, DiscreteSupport, MultistageRobustLP, StageBlock,
                           StageDims, UncertaintySet)
 from swcopt.sampling import build_prefix_tree, draw_paths
@@ -172,8 +173,8 @@ def test_shared_prefixes_take_the_core_method(caplog):
         f"solve_swc: core, {stats['rounds']} rounds, {stats['leaves']} leaves, "
         f"master {stats['rows']} x {stats['cols']}, {res.iterations} iterations, "
         f"core nodes {stats['core']}, cuts {stats['optimality_cuts']} optimality + "
-        f"{stats['feasibility_cuts']} feasibility, tails {stats['solved']} solved + "
-        f"{stats['certified']} certified")
+        f"{stats['feasibility_cuts']} feasibility, {stats['dropped']} dropped, "
+        f"tails {stats['solved']} solved + {stats['certified']} certified")
     assert len(res.x) == lp.ncols
 
 
@@ -197,10 +198,14 @@ def test_routing(case, method, caplog):
     assert abs(res.objective - oracle.objective) <= 1e-7 * abs(oracle.objective)
 
 
-@pytest.mark.parametrize("H, N, route", [
+CORE_CASES = pytest.mark.parametrize("H, N, route", [
     pytest.param(H, N, route, id=f"{H}-{N}" + ("-cold" if route == "cold" else ""))
     for route in ("warm", "cold") for H, N in [(3, 189), (4, 189), (5, 1884)]])
-@pytest.mark.parametrize("seed", [[11, 0], [1001, 0], [63, 4]])
+CORE_SEEDS = pytest.mark.parametrize("seed", [[11, 0], [1001, 0], [63, 4]])
+
+
+@CORE_CASES
+@CORE_SEEDS
 def test_integer_core_matches_monolithic(H, N, seed, route):
     # warm: one HiGHS model gains each round's cuts; cold: a solver that is
     # not solve_highs, so every master is solved whole
@@ -210,6 +215,91 @@ def test_integer_core_matches_monolithic(H, N, seed, route):
                                          solver, method="core")
     if H >= 4:  # the first master leaves commitment states past their bounds
         assert stats["feasibility_cuts"] > 0
+
+
+@CORE_CASES
+@CORE_SEEDS
+def test_filtered_core_drops_dominated_cuts(H, N, seed, route):
+    # each round adds only the tightest cut of each group with the same
+    # columns and duals; the master gains exactly the kept cuts
+    problem = inventory_benchmark(H, "integer")
+    solver = "highs" if route == "warm" else (lambda lp: solve_highs(lp))
+    paths = draw_paths(problem.uncertainty, N, seed)
+    _, stats = assert_matches_monolithic(problem, paths, solver, method="core")
+    assert stats["dropped"] > 0
+    core = _core_nodes(build_prefix_tree(paths))
+    structural = problem.dims.m[0] + sum(int(c.sum()) * m for c, m in zip(core, problem.dims.m[1:]))
+    assert stats["rows"] == structural + stats["optimality_cuts"] + stats["feasibility_cuts"]
+
+
+def record_rounds(monkeypatch, keep_all):
+    """Patch the core method to record, per master solve, the rows added
+    after it with the group keys _tightest got for them; with keep_all,
+    _tightest keeps every cut, as the method did before the filter."""
+    rounds, keys = [], []
+    tightest, add_rows, solve = builders._tightest, GrowingLP.add_rows, GrowingLP.solve
+
+    def record_keys(k, rhs):
+        keys.append(k)
+        return np.arange(len(rhs)) if keep_all else tightest(k, rhs)
+
+    def record_rows(self, cols, vals, rhs):
+        rounds[-1].append((cols, vals, rhs, keys[-1]))
+        add_rows(self, cols, vals, rhs)
+
+    def record_solve(self):
+        rounds.append([])
+        return solve(self)
+
+    monkeypatch.setattr(builders, "_tightest", record_keys)
+    monkeypatch.setattr(GrowingLP, "add_rows", record_rows)
+    monkeypatch.setattr(GrowingLP, "solve", record_solve)
+    return rounds
+
+
+def test_a_round_keeps_one_cut_per_group(monkeypatch):
+    # round 1 of the filtered and of the unfiltered method cut off the same
+    # first master.  Unfiltered, cuts with equal keys (deepest core node,
+    # pooled basis) have equal columns and coefficients; filtered, the
+    # round adds just the tightest of each group, and both solves are exact
+    problem = inventory_benchmark(4, "integer")
+    paths = draw_paths(problem.uncertainty, 189, [11, 0])
+    first, stats = {}, {}
+    for keep_all in (True, False):
+        with monkeypatch.context() as m:
+            rounds = record_rounds(m, keep_all)
+            _, stats[keep_all] = assert_matches_monolithic(problem, paths, method="core")
+        assert len(rounds) == stats[keep_all]["rounds"]
+        first[keep_all] = rounds[0]
+    every, kept = first[True], first[False]
+    assert stats[True]["dropped"] == 0 < stats[False]["dropped"]
+    assert len(kept) == len(every) >= 2  # one call per depth and kind of cut
+    dropped = 0
+    for (cols, vals, rhs, keys), (kcols, kvals, krhs, _) in zip(every, kept):
+        groups = {}
+        for i, key in enumerate(map(tuple, keys.tolist())):
+            groups.setdefault(key, []).append(i)
+        tightest = []
+        for rows in groups.values():
+            assert (cols[rows] == cols[rows[0]]).all() and (vals[rows] == vals[rows[0]]).all()
+            tightest.append(rows[int(np.argmin(rhs[rows]))])
+        tightest.sort()
+        dropped += len(rhs) - len(tightest)
+        np.testing.assert_array_equal(kcols, cols[tightest])
+        np.testing.assert_array_equal(kvals, vals[tightest])
+        np.testing.assert_array_equal(krhs, rhs[tightest])
+    assert dropped > 0
+
+
+def test_tightest_keeps_the_least_rhs_of_each_key():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 3, (200, 2))
+    rhs = rng.integers(0, 5, 200).astype(float)  # ties: the first index wins
+    expected = {}
+    for i, key in enumerate(map(tuple, keys.tolist())):
+        if key not in expected or rhs[i] < rhs[expected[key]]:
+            expected[key] = i
+    np.testing.assert_array_equal(builders._tightest(keys, rhs), sorted(expected.values()))
 
 
 def test_builtin_core_matches_monolithic():
@@ -431,4 +521,24 @@ def test_a_solver_without_bases_solves_shared_trees_whole(caplog):
     stats = solve_record(caplog)
     assert stats["method"] == "monolithic" and stats["fallback"] == "no pooled dual"
     assert len(calls) == 3
+    assert value == pytest.approx(solve_swc_paths(problem, paths)[0], rel=1e-9)
+
+
+def test_a_solver_without_bases_stacks_whole_pricing_passes(caplog):
+    # generation over leaves shares its pools across rounds, and with them the
+    # finding that the solver reports no basis: round 1 prices with a first
+    # stack of FIRST_BATCH leaves and two more, later rounds stack the most
+    # leaves from the start
+    problem = inventory_benchmark(5)
+    paths = draw_paths(problem.uncertainty, 1884, [11, 0])
+
+    def solve(lp):
+        return replace(solve_highs(lp), basis=None)
+
+    with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
+        value = solve_swc_paths(problem, paths, solve)[0]
+    stats = solve_record(caplog)
+    rounds = [r.scenario_costs["solves"] for r in caplog.records if hasattr(r, "scenario_costs")]
+    assert stats["method"] == "generated" and len(rounds) == stats["rounds"] >= 2
+    assert rounds == [3] + [2] * (len(rounds) - 1)
     assert value == pytest.approx(solve_swc_paths(problem, paths)[0], rel=1e-9)
