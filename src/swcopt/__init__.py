@@ -53,7 +53,6 @@ from .inventory import (
     build_coc,
     inventory_benchmark,
     nominal_demand,
-    run_paper_grid,
     table_data,
 )
 from .problem_io import load_problem, save_problem

@@ -1,9 +1,19 @@
 """Command-line surface.
 
-Subcommands: complexity, solve-swc, exact, validate, experiment,
-benchmark-inventory.  A JSON config file may supply any long-flag value
-(dashes as underscores); explicit flags win over the file, zeros included.
-Exit codes: 0 success, 2 usage error, 3 solver failure.
+Subcommands: complexity, solve-swc, exact, validate, experiment, and
+benchmark-inventory, a preset of experiment: the inventory benchmark at the
+nine published accuracy levels, base seed 20160001, SWS/SwCT bounds on.
+
+Each default is declared once, on its flag.  Three follow from other
+inputs: n0 from the problem, and validate's per-batch N and seed from the
+solution file.  A JSON config file may supply the value of any long flag
+of any subcommand (dashes as underscores); a key that names no flag is a
+usage error, and explicit flags win over the file, zeros included.
+
+Exit codes: 0 success, 2 usage error or invalid input, 3 solver failure,
+the last two with one `error: ...` line on stderr.  experiment prints each
+failed instance and each failed bound ordering as one stderr line and
+still exits 0.
 """
 from __future__ import annotations
 
@@ -16,73 +26,79 @@ import numpy as np
 
 from .builders import exact_value, solve_swc_paths
 from .complexity import min_samples_exact, sample_complexity
-from .inventory import BENCHMARK_N0, PAPER_EPSILONS, inventory_benchmark, run_paper_grid
+from .inventory import BENCHMARK_N0, PAPER_EPSILONS, inventory_benchmark
 from .lp import SolverError
 from .model import MultistageRobustLP
 from .problem_io import load_problem
 from .sampling import draw_paths
-from .validation import empirical_violation, run_experiment, rvpi, write_references_csv
+from .validation import empirical_violation, run_experiment, rvpi
 
 
 def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _given(value, default):  # `value or default` would rewrite a given 0
-    return default if value is None else value
-
-
 def _parse_eps(value: str) -> list[float]:
     return [float(tok) for tok in value.replace(",", " ").split()]
+
+
+def _add_common_flags(sp, stages=None) -> None:
+    sp.add_argument("--stages", type=int, choices=stages, default=5,
+                    help="benchmark stage count (default %(default)s)")
+    sp.add_argument("--variant", choices=["continuous", "integer"], default="continuous",
+                    help="benchmark demand variant (default %(default)s)")
+    sp.add_argument("--solver", choices=["builtin", "highs", "external"], default="highs",
+                    help="LP backend (default %(default)s)")
+    sp.add_argument("--solver-cmd", help="external solver command line")
 
 
 def _add_problem_flags(sp) -> None:
     sp.add_argument("--problem", help="problem JSON file")
     sp.add_argument("--benchmark", choices=["inventory"], help="built-in benchmark")
-    sp.add_argument("--stages", type=int, default=None, help="benchmark stage count")
-    sp.add_argument(
-        "--variant", choices=["continuous", "integer"], default=None,
-        help="benchmark demand variant",
-    )
+    _add_common_flags(sp)
 
 
-def _add_solver_flags(sp) -> None:
-    sp.add_argument(
-        "--solver", choices=["builtin", "highs", "external"], default=None,
-        help="LP backend (default highs)",
-    )
-    sp.add_argument("--solver-cmd", default=None, help="external solver command line")
+def _add_sample_size_flags(sp, n0=None) -> None:
+    sp.add_argument("--beta", type=float, default=1e-3,
+                    help="confidence level (default %(default)g)")
+    sp.add_argument("--n0", type=int, default=n0,
+                    help=f"design-variable count (default {n0 or 'from the problem'})")
+
+
+def _add_grid_flags(sp) -> None:
+    sp.add_argument("--instances", type=int, default=100,
+                    help="instances per level (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers (default %(default)s)")
+    sp.add_argument("--out", required=True, help="output directory for CSVs")
+    sp.add_argument("--validation-batches", type=int, default=100,
+                    help="validation batches L (default %(default)s)")
+    sp.add_argument("--paper-scale", action="store_true", help="validation with L=1000 batches")
+    sp.add_argument("--verbose", action="store_true", help="one log line per instance")
 
 
 def _resolve_solver(args) -> str:
-    if getattr(args, "solver_cmd", None) is not None:
-        return f"external:{args.solver_cmd}"
-    return _given(args.solver, "highs")
+    return args.solver if args.solver_cmd is None else f"external:{args.solver_cmd}"
 
 
 def _resolve_problem(args) -> MultistageRobustLP:
     if args.problem:
         return load_problem(args.problem)
     if args.benchmark == "inventory":
-        return inventory_benchmark(_given(args.stages, 5), _given(args.variant, "continuous"))
-    raise SystemExit2("pass --problem FILE or --benchmark inventory")
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+        return inventory_benchmark(args.stages, args.variant)
+    raise ValueError("pass --problem FILE or --benchmark inventory")
 
 
 def _default_n0(args, problem) -> int:
-    if getattr(args, "n0", None) is not None:
+    if args.n0 is not None:
         return args.n0
     if args.benchmark == "inventory":
         return BENCHMARK_N0
     return problem.dims.n[0] + 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The parser; `config` maps long flags of any subcommand to defaults."""
     ap = argparse.ArgumentParser(
         prog="swcopt",
         description="Constraint sampling for multistage robust linear programs",
@@ -91,85 +107,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("complexity", help="sample sizes for accuracy/confidence targets")
-    sp.add_argument("--eps", required=True, help="accuracy level(s), comma separated")
-    sp.add_argument("--beta", type=float, default=None, help="confidence level (default 1e-3)")
-    sp.add_argument("--n0", type=int, default=None, help="design-variable count (default 4)")
+    sp.add_argument("--eps", type=_parse_eps, required=True,
+                    help="accuracy level(s), comma separated")
+    _add_sample_size_flags(sp, n0=4)
     sp.add_argument("--exact", action="store_true", help="also print the exact minimum N")
 
     sp = sub.add_parser("solve-swc", help="solve one sampled certificate problem")
     _add_problem_flags(sp)
-    _add_solver_flags(sp)
-    sp.add_argument("--samples", type=int, default=None, help="number of sampled paths")
-    sp.add_argument("--eps", type=float, default=None, help="derive N from this accuracy")
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--n0", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sp.add_argument("--out", default=None, help="write the solution JSON here")
+    _add_sample_size_flags(sp)
+    sp.add_argument("--samples", type=int, help="number of sampled paths")
+    sp.add_argument("--eps", type=float, help="derive N from this accuracy")
+    sp.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    sp.add_argument("--out", help="write the solution JSON here")
 
     sp = sub.add_parser("exact", help="vertex-tree reference values")
     _add_problem_flags(sp)
-    _add_solver_flags(sp)
     sp.add_argument("--mode", required=True, choices=["ro", "rws", "rt", "rvpi"])
 
     sp = sub.add_parser("validate", help="empirical violation of a stored solution")
     _add_problem_flags(sp)
-    _add_solver_flags(sp)
     sp.add_argument("--solution", required=True, help="solution JSON from solve-swc")
-    sp.add_argument("--batches", type=int, default=None, help="validation batches L (default 100)")
-    sp.add_argument("--per-batch", type=int, default=None, help="draws per batch (default: solution N)")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--batches", type=int, default=100,
+                    help="validation batches L (default %(default)s)")
+    sp.add_argument("--per-batch", type=int, help="draws per batch (default: solution N)")
+    sp.add_argument("--seed", type=int, help="base seed (default: the solution's)")
 
-    sp = sub.add_parser("experiment", help="multi-instance experiment grid to CSVs")
-    _add_problem_flags(sp)
-    _add_solver_flags(sp)
-    sp.add_argument("--eps", required=True, help="accuracy levels, comma separated")
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--n0", type=int, default=None)
-    sp.add_argument("--instances", type=int, default=None, help="instances per level (default 100)")
-    sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sp.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
-    sp.add_argument("--out", required=True, help="output directory for CSVs")
-    sp.add_argument("--bounds", action="store_true", help="also compute SWS/SwCT bounds")
-    sp.add_argument("--validation-batches", type=int, default=None, help="L (default 100)")
-    sp.add_argument("--paper-scale", action="store_true", help="validation with L=1000 batches")
-    sp.add_argument("--verbose", action="store_true", help="one log line per instance")
+    exp = sub.add_parser("experiment", help="multi-instance experiment grid to CSVs")
+    _add_problem_flags(exp)
+    _add_sample_size_flags(exp)
+    exp.add_argument("--eps", type=_parse_eps, required=True,
+                     help="accuracy levels, comma separated")
+    exp.add_argument("--bounds", action="store_true", help="also compute SWS/SwCT bounds")
+    _add_grid_flags(exp)
 
-    sp = sub.add_parser("benchmark-inventory", help="the built-in benchmark grid")
-    _add_solver_flags(sp)
-    sp.add_argument("--stages", type=int, choices=[2, 5], default=None)
-    sp.add_argument("--variant", choices=["continuous", "integer"], default=None)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--eps", default=None, help="override the published accuracy grid")
-    sp.add_argument("--instances", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=None)
-    sp.add_argument("--validation-batches", type=int, default=None)
-    sp.add_argument("--paper-scale", action="store_true")
-    sp.add_argument("--max-samples", type=int, default=None,
-                    help="skip levels needing more samples than this (default 2000)")
-    sp.add_argument("--verbose", action="store_true")
+    sp = sub.add_parser("benchmark-inventory",
+                        help="experiment preset: the built-in benchmark grid, bounds on")
+    _add_common_flags(sp, stages=[2, 5])
+    sp.add_argument("--eps", type=_parse_eps, default=PAPER_EPSILONS,
+                    help="accuracy levels, comma separated (default: the nine published)")
+    _add_grid_flags(sp)
+    # experiment's defaults for what the preset does not expose (problem, beta, n0)
+    own = {a.dest for a in sp._actions}
+    sp.set_defaults(**{a.dest: a.default for a in exp._actions if a.dest not in own})
+    sp.set_defaults(benchmark="inventory", bounds=True, seed=20160001)
+
+    if config:
+        flags = {
+            p: {a.dest for a in p._actions if any(o.startswith("--") for o in a.option_strings)}
+            - {"help"}
+            for p in sub.choices.values()
+        }
+        # a JSON number goes in as text, so that the flag's type parses and checks it
+        values = {key.replace("-", "_"): str(val) if type(val) in (int, float) else val
+                  for key, val in config.items()}
+        unknown = [key for key in values if not any(key in dests for dests in flags.values())]
+        if unknown:
+            raise ValueError(f"--config: no subcommand has a flag named {', '.join(unknown)}")
+        for p, dests in flags.items():
+            p.set_defaults(**{key: val for key, val in values.items() if key in dests})
     return ap
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    values = json.loads(Path(args.config).read_text())
-    for key, val in values.items():
-        attr = key.replace("-", "_")
-        # unset: None, or False for a store_true flag (0 == False, so `is`)
-        if hasattr(args, attr) and (getattr(args, attr) is None or getattr(args, attr) is False):
-            setattr(args, attr, val)
-    return args
-
-
 def _cmd_complexity(args) -> int:
-    beta = _given(args.beta, 1e-3)
-    n0 = _given(args.n0, 4)
-    for eps in _parse_eps(args.eps):
-        N = sample_complexity(eps, beta, n0)
+    for eps in args.eps:
+        N = sample_complexity(eps, args.beta, args.n0)
         if args.exact:
-            print(f"{N} {min_samples_exact(eps, beta, n0)}")
+            print(f"{N} {min_samples_exact(eps, args.beta, args.n0)}")
         else:
             print(N)
     return 0
@@ -177,16 +180,14 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_solve_swc(args) -> int:
     problem = _resolve_problem(args)
-    solver = _resolve_solver(args)
-    seed = _given(args.seed, 0)
     if args.samples is not None:
         N = args.samples
     elif args.eps is not None:
-        N = sample_complexity(args.eps, _given(args.beta, 1e-3), _default_n0(args, problem))
+        N = sample_complexity(args.eps, args.beta, _default_n0(args, problem))
     else:
-        raise SystemExit2("pass --samples or --eps")
-    paths = draw_paths(problem.uncertainty, N, [seed, 0])
-    value, x1, gamma, res = solve_swc_paths(problem, paths, solver)
+        raise ValueError("pass --samples or --eps")
+    paths = draw_paths(problem.uncertainty, N, [args.seed, 0])
+    value, x1, gamma, res = solve_swc_paths(problem, paths, _resolve_solver(args))
     print(_fmt(value))
     if args.out:
         payload = {
@@ -194,7 +195,7 @@ def _cmd_solve_swc(args) -> int:
             "gamma": gamma,
             "x1": [float(v) for v in x1],
             "N": N,
-            "seed": seed,
+            "seed": args.seed,
             "iterations": res.iterations,
             "solve_time_s": res.time_s,
         }
@@ -214,61 +215,41 @@ def _cmd_exact(args) -> int:
 
 def _cmd_validate(args) -> int:
     problem = _resolve_problem(args)
-    solver = _resolve_solver(args)
     payload = json.loads(Path(args.solution).read_text())
     x1 = np.array(payload["x1"], dtype=float)
     gamma = float(payload["gamma"])
-    L = _given(args.batches, 100)
-    per = _given(args.per_batch, int(payload.get("N", 1)))
-    seed = _given(args.seed, int(payload.get("seed", 0)))
-    frac = empirical_violation(problem, x1, gamma, L=L, N=per, seed=[seed, 1], solver=solver)
+    per = int(payload.get("N", 1)) if args.per_batch is None else args.per_batch
+    seed = int(payload.get("seed", 0)) if args.seed is None else args.seed
+    frac = empirical_violation(problem, x1, gamma, L=args.batches, N=per, seed=[seed, 1],
+                               solver=_resolve_solver(args))
     print(_fmt(frac))
     return 0
 
 
 def _cmd_experiment(args) -> int:
     problem = _resolve_problem(args)
-    solver = _resolve_solver(args)
-    L = 1000 if args.paper_scale else _given(args.validation_batches, 100)
     report = run_experiment(
         problem,
-        _parse_eps(args.eps),
-        _given(args.beta, 1e-3),
-        _given(args.instances, 100),
-        _given(args.seed, 0),
-        solver,
+        args.eps,
+        args.beta,
+        args.instances,
+        args.seed,
+        _resolve_solver(args),
         n0=_default_n0(args, problem),
-        L=L,
+        L=1000 if args.paper_scale else args.validation_batches,
         compute_bounds=args.bounds,
-        jobs=_given(args.jobs, 1),
+        jobs=args.jobs,
         verbose=args.verbose,
     )
     report.write_csvs(args.out)
-    write_references_csv(report.references, args.out)
     for eps in report.epsilons:
         stats = report.summary(eps).get("gap")
         if stats:
             print(f"eps={eps:g} mean_gap={_fmt(stats['mean'])} rows={len(report.rows_for(eps))}")
-    if report.errors:
-        print(f"{len(report.errors)} instance(s) failed; see report.errors", file=sys.stderr)
-    return 0
-
-
-def _cmd_benchmark_inventory(args) -> int:
-    L = 1000 if args.paper_scale else _given(args.validation_batches, 100)
-    run_paper_grid(
-        variant=_given(args.variant, "continuous"),
-        stages=_given(args.stages, 5),
-        out_dir=args.out,
-        epsilons=PAPER_EPSILONS if args.eps is None else _parse_eps(args.eps),
-        instances=_given(args.instances, 100),
-        base_seed=_given(args.seed, 20160001),
-        solver=_resolve_solver(args),
-        jobs=_given(args.jobs, 1),
-        L=L,
-        max_samples=_given(args.max_samples, 2000),
-        verbose=args.verbose,
-    )
+    for line in report.errors:
+        print(f"failed: {line}", file=sys.stderr)
+    for line in report.chain_flags:
+        print(f"bound order: {line}", file=sys.stderr)
     return 0
 
 
@@ -278,18 +259,25 @@ _COMMANDS = {
     "exact": _cmd_exact,
     "validate": _cmd_validate,
     "experiment": _cmd_experiment,
-    "benchmark-inventory": _cmd_benchmark_inventory,
+    "benchmark-inventory": _cmd_experiment,
 }
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = _apply_config(ap.parse_args(argv))
     try:
+        args = build_parser().parse_args(argv)
+        if args.config:
+            config = json.loads(Path(args.config).read_text())
+            if not isinstance(config, dict):
+                raise ValueError("--config: expected a JSON object")
+            args = build_parser(config).parse_args(argv)
         return _COMMANDS[args.command](args)
     except SolverError as exc:
         print(f"error: solver: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ s_co^H carries no bound pair).
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,9 +32,6 @@ from .model import (
     StageDims,
     UncertaintySet,
 )
-from .builders import exact_value
-from .complexity import sample_complexity
-from .validation import ExperimentReport, run_experiment, write_references_csv
 
 #: design-variable count of this benchmark: (x_o, x_c, s_co) plus the budget
 BENCHMARK_N0 = 4
@@ -277,56 +273,3 @@ def inventory_benchmark(stages: int = 5, variant: str = "continuous") -> Multist
         return build_coc(data, supports=integer_demand_supports(stages))
     raise ValueError(f"unknown variant {variant!r}")
 
-
-def run_paper_grid(
-    variant: str = "continuous",
-    stages: int = 5,
-    out_dir=".",
-    epsilons=PAPER_EPSILONS,
-    beta: float = 0.001,
-    instances: int = 100,
-    base_seed: int = 20160001,
-    solver="highs",
-    jobs: int = 1,
-    L: int = 100,
-    compute_bounds: bool = True,
-    max_samples: int | None = 2000,
-    verbose: bool = False,
-) -> ExperimentReport:
-    """Reference experiment grid over the benchmark.
-
-    Accuracy levels whose sample size exceeds max_samples are skipped with
-    a logged warning (the smallest published levels need roughly 2e4..8e4 samples
-    per instance, beyond a desk run; pass max_samples=None to force them).
-    Writes the per-level results/summary CSVs plus references.csv.
-    """
-    problem = inventory_benchmark(stages, variant)
-    kept = []
-    for eps in epsilons:
-        N = sample_complexity(eps, beta, BENCHMARK_N0)
-        if max_samples is not None and N > max_samples:
-            logging.getLogger(__name__).warning(
-                "skipping eps=%g (N=%d > max_samples=%d)", eps, N, max_samples
-            )
-            continue
-        kept.append(eps)
-    report = run_experiment(
-        problem,
-        kept,
-        beta,
-        instances,
-        base_seed,
-        solver,
-        n0=BENCHMARK_N0,
-        L=L,
-        compute_bounds=compute_bounds,
-        jobs=jobs,
-        verbose=verbose,
-    )
-    report.write_csvs(out_dir)
-    refs = dict(report.references)
-    if "rws" not in refs:
-        refs["rws"] = exact_value(problem, "rws", solver)
-        refs["rt"] = exact_value(problem, "rt", solver)
-    write_references_csv(refs, out_dir)
-    return report

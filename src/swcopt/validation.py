@@ -161,7 +161,8 @@ class ExperimentReport:
         return out
 
     def write_csvs(self, out_dir) -> list[Path]:
-        """One results file and one summary file per accuracy level.
+        """One results file and one summary file per accuracy level, and
+        references.csv with the exact references (ro; rws and rt with bounds).
 
         Columns are fixed (RESULTS_HEADER/SUMMARY_HEADER); all floats are
         rendered with %.12g so reruns with the same configuration are
@@ -205,6 +206,10 @@ class ExperimentReport:
                 )
             spath.write_text("\n".join(slines) + "\n")
             written.append(spath)
+        path = out_dir / "references.csv"
+        lines = ["mode,value"] + [f"{k},{_fmt(v)}" for k, v in sorted(self.references.items())]
+        path.write_text("\n".join(lines) + "\n")
+        written.append(path)
         return written
 
 
@@ -212,15 +217,6 @@ def _fmt(v) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
     return f"{v:.12g}"
-
-
-def write_references_csv(references: dict[str, float], out_dir) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "references.csv"
-    lines = ["mode,value"] + [f"{k},{_fmt(v)}" for k, v in sorted(references.items())]
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def _instance_task(payload) -> InstanceResult:

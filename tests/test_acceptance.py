@@ -246,4 +246,4 @@ def test_criterion_9_reproducibility(tmp_path):
             ta, tb = strip(ta), strip(tb)
         compared.append(f.name)
         identical = identical and (ta == tb)
-    _report(9, identical and len(compared) == 4, f"byte-identical reruns across {compared}")
+    _report(9, identical and len(compared) == 5, f"byte-identical reruns across {compared}")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from swcopt import validation
 from swcopt.builders import build_deterministic
 from swcopt.cli import main
 from swcopt.inventory import inventory_benchmark
@@ -96,11 +97,54 @@ def test_solver_failure_exit_code():
     assert "error: solver" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["complexity", "--eps", "1.5"],
+    ["experiment", "--benchmark", "inventory", "--stages", "7", "--eps", "0.3", "--out", "x"],
+    ["experiment", "--benchmark", "inventory", "--stages", "2", "--eps", "0.3",
+     "--instances", "0", "--out", "x"],
+    ["solve-swc", "--benchmark", "inventory", "--stages", "2", "--samples", "0"],
+    ["validate", "--benchmark", "inventory", "--solution", "no-such-solution.json"],
+    ["--config", "bad.json", "complexity", "--eps", "0.3"],
+])
+def test_invalid_values_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{beta: 0.001}")
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"instance": 3}))
+    argv = ["--config", str(cfg), "experiment", "--benchmark", "inventory", "--eps", "0.3",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "instance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"beta": 0.001, "n0": 4}))
+    # instances and bounds are experiment's: one file may serve several commands
+    cfg.write_text(json.dumps({"beta": 0.001, "n0": 4, "instances": 2, "bounds": True}))
     assert main(["--config", str(cfg), "complexity", "--eps", "0.3"]) == 0
     assert capsys.readouterr().out.strip() == "63"
+
+
+def test_config_numbers_are_parsed_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eps": 0.3, "instances": 1, "validation_batches": 1}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "benchmark-inventory", "--stages", "2",
+                 "--out", str(out)]) == 0
+    assert (out / "results_eps0.3.csv").exists()
+    cfg.write_text(json.dumps({"seed": 1.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "solve-swc", "--benchmark", "inventory", "--samples", "3"])
+    assert exc.value.code == 2
+    assert "--seed: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -119,6 +163,17 @@ def test_explicit_zero_overrides_config(tmp_path, capsys):
     assert payload["seed"] == 0 and payload["N"] == 20
 
 
+def _csvs(out):
+    # every file of an output directory, runtime_ms (wall clock) cut from the results
+    files = {}
+    for f in sorted(out.iterdir()):
+        lines = f.read_text().splitlines()
+        if f.name.startswith("results"):
+            lines = [",".join(ln.split(",")[:-1]) for ln in lines]
+        files[f.name] = lines
+    return files
+
+
 def test_experiment_reruns_byte_identical(tmp_path):
     args = [
         "experiment", "--benchmark", "inventory", "--stages", "2",
@@ -127,14 +182,46 @@ def test_experiment_reruns_byte_identical(tmp_path):
     ]
     main(args + ["--out", str(tmp_path / "a")])
     main(args + ["--out", str(tmp_path / "b")])
-    for name in ("results_eps0.3.csv", "summary_eps0.3.csv", "references.csv"):
-        a = (tmp_path / "a" / name).read_text()
-        b = (tmp_path / "b" / name).read_text()
-        if name.startswith("results"):
-            # runtime_ms is wall-clock; all value columns must agree byte for byte
-            a = "\n".join(",".join(ln.split(",")[:-1]) for ln in a.splitlines())
-            b = "\n".join(",".join(ln.split(",")[:-1]) for ln in b.splitlines())
-        assert a == b
+    a = _csvs(tmp_path / "a")
+    assert sorted(a) == ["references.csv", "results_eps0.3.csv", "summary_eps0.3.csv"]
+    assert a == _csvs(tmp_path / "b")
+
+
+def test_benchmark_inventory_is_an_experiment_preset(tmp_path):
+    flags = ["--stages", "2", "--eps", "0.3", "--instances", "2", "--validation-batches", "2"]
+    assert main(["benchmark-inventory", *flags, "--out", str(tmp_path / "preset")]) == 0
+    assert main(["experiment", "--benchmark", "inventory", "--bounds", "--seed", "20160001",
+                 *flags, "--out", str(tmp_path / "plain")]) == 0
+    preset, plain = _csvs(tmp_path / "preset"), _csvs(tmp_path / "plain")
+    assert sorted(preset) == ["references.csv", "results_eps0.3.csv", "summary_eps0.3.csv"]
+    assert preset == plain
+    refs = preset["references.csv"]
+    assert refs[0] == "mode,value"
+    assert [ln.split(",")[0] for ln in refs[1:]] == ["ro", "rt", "rws"]
+    assert [ln.split(",")[0] for ln in preset["results_eps0.3.csv"][1:]] == ["20160001", "20160002"]
+
+
+def test_experiment_prints_failures_and_bound_flags(tmp_path, monkeypatch, capsys):
+    real = validation.solve_swc_paths
+    calls = {"n": 0}
+
+    def flaky(problem, paths, solver):
+        # the first instance's solve fails; the second instance runs
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise validation.SolverError("synthetic failure")
+        return real(problem, paths, solver)
+
+    monkeypatch.setattr(validation, "solve_swc_paths", flaky)
+    monkeypatch.setattr(validation, "sws_value", lambda problem, paths, solver: (1e9, 0))
+    code = main(["experiment", "--benchmark", "inventory", "--stages", "2", "--eps", "0.3",
+                 "--instances", "2", "--seed", "3", "--validation-batches", "1", "--bounds",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "failed: eps=0.3 instance=0: SolverError: synthetic failure"
+    assert err[1].startswith("bound order: eps=0.3 seed=4: sws 1000000000.000000 > swc ")
+    assert len(err) == 2
 
 
 @pytest.mark.parametrize("code", [

@@ -12,7 +12,6 @@ from swcopt.inventory import (
     integer_demand_supports,
     inventory_benchmark,
     nominal_demand,
-    run_paper_grid,
     table_data,
 )
 from swcopt.lp import get_solver
@@ -149,19 +148,3 @@ def test_order_bound_rows_emitted_when_finite():
     # two extra first-stage rows beyond the four standard ones
     assert problem.dims.m[0] == 6
 
-
-def test_run_paper_grid_smoke(tmp_path, caplog):
-    with caplog.at_level("WARNING", logger="swcopt.inventory"):
-        report = run_paper_grid(
-            variant="continuous", stages=2, out_dir=tmp_path,
-            epsilons=(0.3, 0.01), instances=2, base_seed=7, jobs=1, L=2,
-            max_samples=100, compute_bounds=False,
-        )
-    assert "skipping eps=0.01" in caplog.text
-    assert (tmp_path / "results_eps0.3.csv").exists()
-    assert (tmp_path / "summary_eps0.3.csv").exists()
-    refs = (tmp_path / "references.csv").read_text().splitlines()
-    assert refs[0] == "mode,value"
-    modes = {ln.split(",")[0] for ln in refs[1:]}
-    assert modes == {"ro", "rws", "rt"}
-    assert len(report.rows_for(0.3)) == 2
