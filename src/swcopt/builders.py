@@ -53,7 +53,8 @@ DEFAULT_LEAF_CAP = 4096
 EXACT_MODES = ("ro", "rws", "rt")
 
 CHUNK_ROWS = 40000  # rows per stacked LP in scenario_costs
-FIRST_BATCH = 32  # paths in scenario_costs' first stack when a basis pool runs
+WALK_PATHS = 16  # unresolved paths walked by dual simplex pivots per pricing pass
+WALK_PIVOTS = 64  # pivots a walk may take before its path is solved instead
 CERTIFY_BLOCK = 8192  # paths priced on the basis pool at once, bounding memory
 POOL_TOL = 1e-9  # relative tolerance of the basis pool's checks
 FIRST_LEAVES = 8  # leaves in _solve_grouping's first master
@@ -303,31 +304,35 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     """Optimal cost of every path's own LP; +inf where infeasible.
 
     With x1 given, the cost is c1'x1 plus the optimal recourse over stages
-    2..H along the path.  Unresolved paths are solved in block-diagonal
-    stacks (the blocks are independent, so per-block optima are read off
-    the stacked solution) of at most about CHUNK_ROWS rows.  A stack that is
-    not solved to optimality is split in halves, recursively; a one-path
-    stack's status is its path's (-inf if unbounded; SolverError on an
-    iteration limit).
+    2..H along the path.
 
     When T, W and c of stages 2..H are constant, the paths' LPs differ only
-    in their right-hand sides b(xi).  The first stack then holds FIRST_BATCH
-    paths and each later one at most twice as many as the one before.  After
-    each solved stack, the solver's optimal basis (SolveResult.basis) is
-    split per path, and the bases that pass a self-check join a pool
-    (_BasisPool).  An unresolved path whose b(xi) keeps a pooled basis
-    primal feasible is optimal on that basis, and gets its cost y'b(xi)
-    without a solve.  A path found infeasible has its elastic phase 1
-    (_elastic) solved too, and those bases join a second pool: a path on
-    which one of them is primal feasible with a positive value is
-    infeasible without a solve.  Other models, and solvers that report no
-    basis (the external one), solve every path; after an optimal solve
-    without a basis, stacks hold the most paths and no phase 1 is solved.
+    in their right-hand sides b(xi), and most paths are priced without a
+    solve on a pool of optimal bases (_BasisPool).  The solver is called on
+    one path to seed the pool (again on the next path while the pool holds
+    no basis).  Each pass then walks up to WALK_PATHS unresolved paths from
+    the seed by dual simplex pivots to bases that price them, adds those
+    bases to the pool, and prices every unresolved path on them.  A path
+    whose walk proves it infeasible is walked on a second pool, of bases of
+    the elastic phase 1 (_elastic; seeded by one solve of its phase 1),
+    where a positive value makes the path infeasible without a solve.  A
+    walk that takes more than WALK_PIVOTS pivots, or whose basis the pool
+    refuses, leaves its path to a one-path solve (a fallback).  Once the
+    pool refuses a basis the solver ended on, the call's unresolved paths
+    are solved in stacks, as below, not one solve per path.
+
+    Other models, and solvers that report no basis (the external one),
+    solve every path in block-diagonal stacks (the blocks are independent,
+    so per-block optima are read off the stacked solution) of at most about
+    CHUNK_ROWS rows.  A stack that is not solved to optimality is split in
+    halves, recursively.  A one-path solve's status is its path's (-inf if
+    unbounded; SolverError on an iteration limit).
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
-    paths solved and certified, bases kept and rejected, LP solves, and the
-    paths whose own one-path stack was not optimal, by status (also as the
-    record's `scenario_costs` dict).
+    paths solved and certified, bases kept and rejected, LP solves (of them
+    seeds and fallbacks), dual simplex pivots, and the paths whose own
+    one-path solve was not optimal, by status (also as the record's
+    `scenario_costs` dict).
     """
     cost = _path_costs(problem, ScenarioPaths.of(paths), get_solver(solver), x1)[0]
     return cost + (0.0 if x1 is None else float(problem.c1 @ x1))
@@ -339,35 +344,90 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     """scenario_costs' loop over the per-path LPs _separable_blocks(problem,
     paths, state, s) builds, so without the constant c1'x1 of a fixed x1.
     Returns each path's optimal cost, its optimal solution laid out as one
-    block (with recourse: the stack's solution for a solved path, z_B = B^-1
-    b(xi) of its pooled basis for a priced one, zeros where the path has no
-    optimal solution), the call's statistics, and whether the pool ran to
-    the end: T, W and c are constant and every optimal solve had a basis.
+    block (with recourse: the solver's solution for a solved path, z_B =
+    B^-1 b(xi) of its pooled basis for a priced one, zeros where the path
+    has no optimal solution), the call's statistics, and whether the pool
+    could run: T, W and c are constant and every optimal solve had a basis.
+
+    In pooled mode the solver sees one path at a time: a seed while the
+    "optimal" pool holds no basis, or a fallback after a walk.  An
+    infeasible seed's phase 1 is walked on (or seeds) the "phase1" pool,
+    so that _solve_core has its feasibility cut.  After a refused solver
+    basis the rest goes to the stacks of non-pooled mode; the returned
+    flag does not change.
 
     pools keeps the basis pools across calls on LPs with the same A and c
-    (same s): "optimal" prices costs, "phase1" certifies infeasibility.
-    When it is given, every solved path offers its basis, and an optimal
-    solve without a basis is recorded there ("bases": False), so that later
-    calls stack the most paths from their first solve."""
+    (same s), so a later call walks from the same seed without a solve.
+    When it is given, an optimal solve without a basis is recorded there
+    ("bases": False), so that later calls stack the most paths from their
+    first solve."""
     first = 1 if state is None else s
     rows_per = sum(problem.dims.m[first - 1:])
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
     keep = pools is not None
     pools = {} if pools is None else pools
-    pooled = rows_per > 0 and _recourse_is_constant(problem) and pools.get("bases", True)
+    constant = rows_per > 0 and _recourse_is_constant(problem)
     marks = {}  # bases of each pool that every unresolved path has been priced on
     done = np.zeros(len(paths), bool)
     out = np.empty(len(paths))
     sol = np.zeros((len(paths), sum(problem.dims.n[first - 1:]))) if recourse else None
-    failed = Counter()
-    solved = solves = 0
+    failed, count = Counter(), Counter()
+    refused = False  # the pool refused a solver's basis: stack the rest of the call
 
-    def offer(kind: str, basis, X, st, cost) -> None:
+    def rhs(idx: np.ndarray) -> np.ndarray:
+        return _path_rhs(problem, paths.values[idx], _state_rows(state, idx), s)
+
+    def run(idx: np.ndarray) -> tuple[LPInstance, SolveResult]:
+        """Solve the paths idx as one stack and record its costs, or a
+        one-path stack's status."""
+        X, st = paths.values[idx], _state_rows(state, idx)
+        lp, _, width = _separable_blocks(problem, ScenarioPaths(X, paths.widths), st, s)
+        res = solve(lp)
+        count["solves"] += 1
+        if res.status is Status.OPTIMAL:
+            # blocks are contiguous and of equal width; a stacked matmul takes one
+            # dot product per block, as the BLAS dot of its slices would
+            Z = res.x.reshape(-1, width)
+            out[idx] = (lp.obj.reshape(-1, 1, width) @ Z[:, :, None]).ravel()
+            done[idx] = True
+            count["solved"] += idx.size
+            if recourse:
+                sol[idx] = Z
+            if res.basis is None:  # the solver reports no basis, now and in later calls
+                pools["bases"] = False
+        elif idx.size == 1 and res.status in (Status.INFEASIBLE, Status.UNBOUNDED):
+            out[idx] = np.inf if res.status is Status.INFEASIBLE else -np.inf
+            done[idx] = True
+            count["solved"] += 1
+            failed[res.status.value] += 1
+        elif idx.size == 1:
+            raise SolverError(f"scenario solve ended with {res.status.value}")
+        return lp, res
+
+    def offer(kind: str, lp: LPInstance, res: SolveResult, i: int, cost: float) -> None:
+        nonlocal refused
         if kind not in pools:
-            one = _separable_blocks(problem, ScenarioPaths(X[:1], paths.widths),
-                                    _state_rows(st, [0]), s)[0]
-            pools[kind] = _BasisPool(one if kind == "optimal" else _elastic(one))
-        pools[kind].harvest(basis, _path_rhs(problem, X, st, s), cost)
+            pools[kind] = _BasisPool(lp)
+        refused |= not pools[kind].offer(pools[kind].local(res.basis), rhs(np.array([i]))[0], cost)
+
+    def phase1(idx: np.ndarray, lp: LPInstance | None = None) -> None:
+        """Walk the infeasible paths idx on the phase-1 pool, seeding it by
+        solving path idx[0]'s phase 1 while it holds no basis."""
+        if not ready("phase1"):
+            elastic = _elastic(lp if lp is not None else one_lp(idx[0]))
+            res = solve(elastic)
+            count["solves"] += 1
+            count["seeds"] += 1
+            if res.status is Status.OPTIMAL and res.basis is None:
+                pools["bases"] = False
+            elif res.status is Status.OPTIMAL:
+                offer("phase1", elastic, res, idx[0], res.objective)
+        if pooled() and ready("phase1"):
+            count["pivots"] += pools["phase1"].grow(rhs(idx))[1]
+
+    def one_lp(i: int) -> LPInstance:
+        return _separable_blocks(problem, ScenarioPaths(paths.values[i : i + 1], paths.widths),
+                                 _state_rows(state, [i]), s)[0]
 
     def recheck() -> None:
         for kind in POOL_KINDS:
@@ -377,63 +437,60 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                          out, sol, done, kind == "phase1")
                 marks[kind] = len(pool.duals)
 
-    if pooled:
+    def ready(kind: str) -> bool:
+        return kind in pools and bool(pools[kind].duals)
+
+    def pooled() -> bool:
+        return constant and pools.get("bases", True)
+
+    if pooled():
         recheck()  # bases kept by earlier calls
-    todo = np.arange(len(paths))
-    size = min(FIRST_BATCH, per_chunk) if pooled else per_chunk
-    while (todo := todo[~done[todo]]).size:
-        batch, todo = todo[:size], todo[size:]
-        pending = [batch]
+    while pooled() and not refused and (todo := np.flatnonzero(~done)).size:
+        if not ready("optimal"):
+            if ready("phase1"):  # walks there certify infeasible paths without a seed
+                phase1(todo[:WALK_PATHS])
+                recheck()
+                if (todo := todo[~done[todo]]).size == 0:
+                    continue
+            lp, res = run(todo[:1])
+            count["seeds"] += 1
+            more = keep or not done.all()
+            if res.status is Status.OPTIMAL and res.basis is not None and more:
+                offer("optimal", lp, res, todo[0], out[todo[0]])
+            elif res.status is Status.INFEASIBLE and more:
+                phase1(todo[:1], lp)
+            continue  # walk before pricing, so the first pricing pass has the walks' bases
+        walked = todo[:WALK_PATHS]
+        farkas, pivots = pools["optimal"].grow(rhs(walked))
+        count["pivots"] += pivots
+        if farkas.any():
+            phase1(walked[farkas])
+        recheck()
+        for i in walked[~done[walked]].tolist():
+            if refused:
+                break
+            lp, res = run(np.array([i]))
+            count["fallback"] += 1
+            if res.status is Status.OPTIMAL and res.basis is not None:
+                offer("optimal", lp, res, i, out[i])
+    todo = np.flatnonzero(~done)
+    for lo in range(0, todo.size, per_chunk):
+        pending = [todo[lo : lo + per_chunk]]
         while pending:
             idx = pending.pop()
-            idx = idx[~done[idx]]
-            if not idx.size:
-                continue
-            X, st = paths.values[idx], _state_rows(state, idx)
-            lp, _, width = _separable_blocks(problem, ScenarioPaths(X, paths.widths), st, s)
-            res = solve(lp)
-            solves += 1
-            more = pooled and (keep or bool(pending) or bool(todo.size))
-            if res.status is Status.OPTIMAL:
-                # blocks are contiguous and of equal width; a stacked matmul takes one
-                # dot product per block, as the BLAS dot of its slices would
-                Z = res.x.reshape(-1, width)
-                cost = (lp.obj.reshape(-1, 1, width) @ Z[:, :, None]).ravel()
-                out[idx], done[idx] = cost, True
-                solved += idx.size
-                if recourse:
-                    sol[idx] = Z
-                if res.basis is None:  # the solver reports no basis, now and in later calls
-                    pooled = pools["bases"] = False
-                if more and pooled:
-                    offer("optimal", res.basis, X, st, cost)
-            elif idx.size > 1:
-                half = idx.size // 2
-                pending += [idx[half:], idx[:half]]
-            elif res.status in (Status.INFEASIBLE, Status.UNBOUNDED):
-                infeasible = res.status is Status.INFEASIBLE
-                out[idx], done[idx] = (np.inf if infeasible else -np.inf), True
-                solved += 1
-                failed[res.status.value] += 1
-                if infeasible and more:
-                    phase1 = solve(_elastic(lp))
-                    solves += 1
-                    pooled &= phase1.basis is not None
-                    if pooled:
-                        offer("phase1", phase1.basis, X, st, np.array([phase1.objective]))
-            else:
-                raise SolverError(f"scenario solve ended with {res.status.value}")
-            if pooled:
-                recheck()
-        size = min(2 * size, per_chunk) if pooled else per_chunk
-    stats = {"paths": len(paths), "solved": solved, "certified": len(paths) - solved,
+            if run(idx)[1].status is not Status.OPTIMAL and idx.size > 1:
+                pending += [idx[idx.size // 2:], idx[: idx.size // 2]]
+    stats = {"paths": len(paths), "solved": count["solved"],
+             "certified": len(paths) - count["solved"],
              "kept": sum(len(pools[k].duals) for k in POOL_KINDS if k in pools),
              "rejected": sum(pools[k].rejected for k in POOL_KINDS if k in pools),
-             "solves": solves, "failed": dict(failed)}
+             "solves": count["solves"], "seeds": count["seeds"], "fallback": count["fallback"],
+             "pivots": count["pivots"], "failed": dict(failed)}
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
-              "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves, "
-              "failed paths %(failed)s", stats, extra={"scenario_costs": stats})
-    return out, sol, stats, pooled
+              "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves (%(seeds)d seeds, "
+              "%(fallback)d fallback), %(pivots)d pivots, failed paths %(failed)s",
+              stats, extra={"scenario_costs": stats})
+    return out, sol, stats, pooled()
 
 
 def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, state: np.ndarray | None,
@@ -484,12 +541,14 @@ class _BasisPool:
     A basis B with dual-feasible y = c_B B^-1 is optimal for every b with
     B^-1 b >= 0 on its bounded basic variables and = 0 on its fixed ones
     (its critical region), with cost y'b and basic solution z_B = B^-1 b.
-    So the basis the solver ends on for one path (its block of
-    SolveResult.basis) prices every path in its region.  A basis joins the
-    pool only if B is square with a condition number of at most
-    1/POOL_TOL, y is dual feasible, b lies in the region and y'b
-    reproduces its own path's cost, each within the relative tolerance
-    POOL_TOL."""
+    The first basis (the seed) is the one a solver ends on for one path
+    (SolveResult.basis).  Since c and A do not change, every pooled basis
+    is dual feasible for every b, so a path outside the pool's regions is
+    a few dual simplex pivots away from the seed (grow).  A basis joins
+    the pool only if B is square with a condition number of at most
+    1/POOL_TOL, y is dual feasible, b lies in the region and, for a
+    solver's basis, y'b reproduces its own path's cost, each within the
+    relative tolerance POOL_TOL."""
 
     def __init__(self, lp: LPInstance):
         self.A = np.hstack([lp._csr().toarray(), np.diag(np.where(lp.senses == GE, -1.0, 1.0))])
@@ -498,6 +557,8 @@ class _BasisPool:
         self.bounded = np.concatenate([np.isfinite(lp.lower), lp.senses != EQ])
         self.dual_tol = POOL_TOL * max(1.0, float(np.max(np.abs(self.c))))
         self.n, self.m = lp.ncols, lp.nrows
+        self.bases: list[np.ndarray] = []     # basic columns of A, ascending
+        self.seed: np.ndarray | None = None   # B^-1 of bases[0], where walks start
         # rows of B^-1 whose product with b must be >= 0: the bounded basic
         # variables', and the fixed ones' with both signs
         self.inverses: list[np.ndarray] = []
@@ -505,22 +566,10 @@ class _BasisPool:
         self.primal: list[tuple[np.ndarray, np.ndarray]] = []  # LP basic columns, their B^-1 rows
         self.rejected = 0
 
-    def harvest(self, basis: np.ndarray, B: np.ndarray, costs: np.ndarray) -> None:
-        """Offer each path's block of a solved stack's basis (right-hand side
-        row of B, cost), skipping paths that a basis kept in this call
-        already prices."""
-        col, row = basis[basis >= 0], -1 - basis[basis < 0]
-        block = np.concatenate([col // self.n, row // self.m])
-        local = np.concatenate([col % self.n, self.n + row % self.m])
-        order = np.lexsort((local, block))
-        bases = np.split(local[order], np.cumsum(np.bincount(block, minlength=len(B)))[:-1])
-        left = np.arange(len(B))
-        while left.size:
-            i, left = left[0], left[1:]
-            if self._offer(bases[i], B[i], costs[i]):
-                left = left[self.price(B[left], len(self.duals) - 1)[0] < 0]
-            else:
-                self.rejected += 1
+    def local(self, basis: np.ndarray) -> np.ndarray:
+        """The columns of A of a one-path LP's basis in SolveResult.basis's
+        convention (row i's slack is -1-i)."""
+        return np.sort(np.where(basis >= 0, basis, self.n - 1 - basis))
 
     def price(self, B: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
         """For right-hand sides B (K, m): the first of the bases from `first`
@@ -545,24 +594,106 @@ class _BasisPool:
             Z[np.ix_(idx, cols)] = B[idx] @ rows.T
         return Z
 
-    def _offer(self, basis: np.ndarray, b: np.ndarray, cost: float) -> bool:
+    def offer(self, basis: np.ndarray, b: np.ndarray, cost: float | None = None) -> bool:
+        """Add the basis (columns of A, ascending) if it passes the checks
+        for right-hand side b; cost None skips the cost check."""
         Bm = self.A[:, basis]
-        if basis.size != self.m or np.linalg.cond(Bm) > 1.0 / POOL_TOL:
+        ok = basis.size == self.m and np.linalg.cond(Bm) <= 1.0 / POOL_TOL
+        if ok:
+            Binv = np.linalg.inv(Bm)
+            y = self.c[basis] @ Binv
+            d = self.c - y @ self.A  # reduced costs; a fixed column's may take either sign
+            d[basis] = d[self.fixed] = 0.0
+            fixed = Binv[self.fixed[basis]]
+            inv = np.vstack([Binv[self.bounded[basis]], fixed, -fixed])
+            ok = not (np.any(np.where(self.bounded, d, -np.abs(d)) < -self.dual_tol)
+                      or np.any(inv @ b < -POOL_TOL * max(1.0, float(np.max(np.abs(b)))))
+                      or (cost is not None and abs(y @ b - cost) > POOL_TOL * max(1.0, abs(cost))))
+        if not ok:
+            self.rejected += 1
             return False
-        Binv = np.linalg.inv(Bm)
-        y = self.c[basis] @ Binv
-        d = self.c - y @ self.A  # reduced costs; a fixed column's may take either sign
-        d[basis] = d[self.fixed] = 0.0
-        fixed = Binv[self.fixed[basis]]
-        inv = np.vstack([Binv[self.bounded[basis]], fixed, -fixed])
-        if (np.any(np.where(self.bounded, d, -np.abs(d)) < -self.dual_tol)
-                or np.any(inv @ b < -POOL_TOL * max(1.0, float(np.max(np.abs(b)))))
-                or abs(y @ b - cost) > POOL_TOL * max(1.0, abs(cost))):
-            return False
+        if not self.bases:
+            self.seed = Binv
+        self.bases.append(basis)
         self.inverses.append(inv)
         self.duals.append(y)
         self.primal.append((basis[basis < self.n], Binv[basis < self.n]))
         return True
+
+    def grow(self, B: np.ndarray) -> tuple[np.ndarray, int]:
+        """Walk each right-hand side of B (K, m) from the seed by dual
+        simplex pivots until its basis is primal feasible, and offer each
+        new basis a walk ends on.  The leaving variable is the violated
+        basic one of smallest index (Bland), the entering column the dual
+        ratio test's (smallest index on ties); walks on the same basis and
+        row share one pivot.  A walk also ends on a row with no entering
+        column, a Farkas certificate that its b is infeasible, or after
+        WALK_PIVOTS pivots.  Intermediate bases are not kept.  Returns
+        which rows of B are infeasible, and the pivots taken."""
+        tol = POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+        bases, binvs = [self.bases[0]], [self.seed]
+        index = {bases[0].tobytes(): 0}
+        moves = {}  # (basis, leaving position, direction) -> next basis, -1 for a Farkas row
+        at = np.zeros(len(B), np.int64)
+        steps = np.zeros(len(B), np.int64)
+        live, farkas = np.ones(len(B), bool), np.zeros(len(B), bool)
+        ends = {}  # basis a walk ended on -> one of its right-hand sides
+        while live.any():
+            for k in np.unique(at[live]).tolist():
+                w = np.flatnonzero(live & (at == k))
+                basis = bases[k]
+                Z = B[w] @ binvs[k].T
+                bad = ((self.bounded[basis] & (Z < -tol[w, None]))
+                       | (self.fixed[basis] & (np.abs(Z) > tol[w, None])))
+                has = bad.any(axis=1)
+                if not has.all():
+                    ends.setdefault(k, w[~has][0])
+                    live[w[~has]] = False
+                w, r = w[has], np.argmax(bad[has], axis=1)  # bases are ascending: Bland's row
+                sign = np.sign(Z[has, r]).astype(np.int64)
+                for row, sgn in set(zip(r.tolist(), sign.tolist())):
+                    key = (k, row, sgn)
+                    if key not in moves:
+                        step = self._pivot(basis, binvs[k], row, sgn)
+                        if step is not None and step[0].tobytes() not in index:
+                            index[step[0].tobytes()] = len(bases)
+                            bases.append(step[0])
+                            binvs.append(step[1])
+                        moves[key] = -1 if step is None else index[step[0].tobytes()]
+                    sel = w[(r == row) & (sign == sgn)]
+                    if moves[key] < 0:
+                        farkas[sel], live[sel] = True, False
+                    else:
+                        at[sel], steps[sel] = moves[key], steps[sel] + 1
+            live &= steps <= WALK_PIVOTS
+        pooled = {b.tobytes() for b in self.bases}
+        for k, i in ends.items():
+            if bases[k].tobytes() not in pooled:
+                self.offer(bases[k], B[i])
+        return farkas, sum(nxt >= 0 for nxt in moves.values())
+
+    def _pivot(self, basis: np.ndarray, Binv: np.ndarray, r: int,
+               sign: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """One dual simplex pivot: the basic variable at position r leaves
+        towards 0 (from below for sign -1, from above, a fixed one, for
+        sign +1).  Returns the new basis, ascending, and its B^-1, or None
+        if no column can enter."""
+        a = sign * (Binv[r] @ self.A)
+        d = self.c - (self.c[basis] @ Binv) @ self.A
+        enter = np.where(self.bounded, a > POOL_TOL, np.abs(a) > POOL_TOL) & ~self.fixed
+        enter[basis] = False
+        if not enter.any():
+            return None
+        cand = np.flatnonzero(enter)
+        ratio = np.where(self.bounded[cand], np.maximum(d[cand], 0.0), np.abs(d[cand]))
+        q = cand[np.argmin(ratio / np.abs(a[cand]))]
+        u = Binv @ self.A[:, q]
+        E = Binv - np.outer(u / u[r], Binv[r])  # product-form update of B^-1
+        E[r] = Binv[r] / u[r]
+        new = basis.copy()
+        new[r] = q
+        order = np.argsort(new)
+        return new[order], E[order]
 
 
 def sws_value(problem: MultistageRobustLP, paths, solver="highs") -> tuple[float, int]:
@@ -684,10 +815,12 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
     summed master iterations; a generated solve adds the leaves solved and
     certified by pricing over all rounds, a core solve its core nodes per
     stage, its optimality and feasibility cuts, the dominated cuts it
-    dropped, and the tails solved and certified by pricing (all also as
-    the record's `solve_swc` dict, where a core solve also lists the
-    master's iterations per round, master_iterations).  A monolithic
-    solve after a method gave up adds why, `fallback`.
+    dropped, and the tails solved and certified by pricing; both add the
+    pricing's dual simplex pivots and fallback solves, summed over its
+    scenario_costs records (pivots, fallback_solves; all also as the
+    record's `solve_swc` dict, where a core solve also lists the master's
+    iterations per round, master_iterations).  A monolithic solve after a
+    method gave up adds why, `fallback`.
     """
     K = grouping.node_counts()
     found = None
@@ -716,6 +849,8 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
                     "tails %(solved)d solved + %(certified)d certified")
     elif stats["method"] == "generated":
         message += ", pricing %(solved)d solved + %(certified)d certified"
+    if stats["method"] != "monolithic":
+        message += ", %(pivots)d pivots, %(fallback_solves)d fallback solves"
     log.debug(message, stats, extra={"solve_swc": stats})
     return res
 
@@ -729,10 +864,10 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     violated leaves outside the set (cost above gamma by more than
     LEAF_TOL) until none is.  The leaves' recourse LPs share A and c in
     every round, only b(xi, x1) moving with x1, so one pair of basis pools
-    is kept across the rounds, as _solve_core keeps its pools: a basis
-    found in round 1 prices the same leaf later without a solve, and a
-    solver that reports no basis gets the most leaves per stack from round
-    2 on.  The master is a relaxation whose (x1, gamma) ends feasible for
+    is kept across the rounds, as _solve_core keeps its pools: later
+    rounds price on round 1's bases and walk from its seed without a
+    solve, and a solver that reports no basis gets the most leaves per
+    stack from round 2 on.  The master is a relaxation whose (x1, gamma) ends feasible for
     every leaf, so its value is the LP's optimum; x holds each leaf's
     recourse from the last pricing pass.  Each master is the relaxed
     grouping of its working set, the same LP as its prefix tree when no
@@ -751,7 +886,7 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
         rounds, iterations = rounds + 1, iterations + master.iterations
         x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])
         cost, Z, stats, _ = _path_costs(problem, leaves, solve, x1, pools=pools, recourse=True)
-        counts.update(solved=stats["solved"], certified=stats["certified"])
+        counts.update({k: stats[k] for k in ("solved", "certified", "pivots", "fallback")})
         if np.any(cost == -np.inf):
             return "unbounded tail"
         excess = (cost + float(problem.c1 @ x1)) - gamma
@@ -766,7 +901,8 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     res = SolveResult(Status.OPTIMAL, gamma, x, iterations, time.perf_counter() - t0)
     return res, {"method": "generated", "rounds": rounds, "leaves": len(work), "rows": lp.nrows,
                  "cols": lp.ncols, "iterations": iterations, "solved": counts["solved"],
-                 "certified": counts["certified"]}
+                 "certified": counts["certified"], "pivots": counts["pivots"],
+                 "fallback_solves": counts["fallback"]}
 
 
 def _core_nodes(tree: ScenarioPrefixTree) -> list[np.ndarray]:
@@ -902,8 +1038,7 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             state = res.x[cols[:, -ns:]]  # x1, or the deepest core node's block
             cost, Z, stats, _ = _path_costs(problem, ScenarioPaths(X, leaves.widths), solve,
                                             state, s, pools[d], recourse=True)
-            counts["solved"] += stats["solved"]
-            counts["certified"] += stats["certified"]
+            counts.update({k: stats[k] for k in ("solved", "certified", "pivots", "fallback")})
             if np.any(cost == -np.inf):
                 return "unbounded tail"
             tails.append(Z)
@@ -964,4 +1099,5 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                     "core": [int(c.sum()) for c in core],
                     "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["phase1"],
                     "dropped": counts["dropped"], "solved": counts["solved"],
-                    "certified": counts["certified"]}
+                    "certified": counts["certified"], "pivots": counts["pivots"],
+                    "fallback_solves": counts["fallback"]}

@@ -78,9 +78,10 @@ def empirical_violation(
     Draw the validation paths from a stream disjoint from training (the
     caller picks the seed).  Equals the batched average (1/L) sum_l (1/N)
     sum_i of the violation indicator.  The recourse costs come from
-    scenario_costs: with constant T, W and c, most paths are priced on
-    its pool of certified optimal bases and only the rest are solved;
-    otherwise every path is solved.
+    scenario_costs: with constant T, W and c, the solver sees one seed
+    path (a few more if a path is infeasible or a walk falls back), dual
+    simplex walks from its basis find the other bases the batch needs, and
+    every path is priced on that pool; otherwise every path is solved.
     """
     if L < 1 or N < 1:
         raise ValueError("L and N must be positive")

@@ -250,34 +250,56 @@ def _scripted_solver(statuses, bases=True):
 
 
 def test_scenario_costs_bisects_a_nonoptimal_stack():
+    # a solver that reports no basis: path 0 alone (the seed) is optimal
+    # without one, so the other paths go to one stack, which is split in
+    # halves when it is not optimal; no phase 1 is solved
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
     x1 = np.array([50.0, 60.0, 0.0])
-    solve, seen = _scripted_solver([Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE,
-                                    Status.INFEASIBLE, Status.OPTIMAL, Status.UNBOUNDED])
+    solve, seen = _scripted_solver([Status.OPTIMAL, Status.INFEASIBLE, Status.INFEASIBLE,
+                                    Status.UNBOUNDED], bases=False)
     costs = scenario_costs(problem, paths, solve, x1=x1)
     assert costs[0] == float(problem.c1 @ x1)  # the cost of the stub's x = 0
     assert costs[1] == np.inf and costs[2] == -np.inf
-    # the stack of three, then path 0, the stack of paths 1 and 2, path 1, its
-    # elastic phase 1 (one more column per <= or >= row, two per = row), path 2
-    rows = seen[1].nrows
-    assert [lp.nrows for lp in seen] == [3 * rows, rows, 2 * rows, rows, rows, rows]
-    elastic = sum(2 if s == "=" else 1 for s in seen[3].senses)
-    assert seen[4].ncols == seen[3].ncols + elastic
-    assert seen[4].obj.tolist() == [0.0] * seen[3].ncols + [1.0] * elastic
+    # path 0, the stack of paths 1 and 2, path 1, path 2
+    rows = seen[0].nrows
+    assert [lp.nrows for lp in seen] == [rows, 2 * rows, rows, rows]
+
+
+def test_scenario_costs_stacks_the_rest_after_a_refused_basis():
+    # with bases, path 0 is solved alone (the seed).  It is infeasible, so
+    # its elastic phase 1 (one more column per <= or >= row, two per = row)
+    # is solved; the stub's all-slack basis gives y'b = 0, not the stub's
+    # value 5, and is refused.  So the other paths go to one stack, which
+    # is split in halves when it is not optimal, as without bases
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
+    x1 = np.array([50.0, 60.0, 0.0])
+    solve, seen = _scripted_solver([Status.INFEASIBLE, Status.OPTIMAL, Status.UNBOUNDED,
+                                    Status.UNBOUNDED, Status.OPTIMAL])
+    costs = scenario_costs(problem, paths, solve, x1=x1)
+    assert costs.tolist() == [np.inf, -np.inf, float(problem.c1 @ x1)]
+    rows = seen[0].nrows
+    assert [lp.nrows for lp in seen] == [rows, rows, 2 * rows, rows, rows]
+    elastic = sum(2 if s == "=" else 1 for s in seen[0].senses)
+    assert seen[1].ncols == seen[0].ncols + elastic
+    assert seen[1].obj.tolist() == [0.0] * seen[0].ncols + [1.0] * elastic
+    assert [lp.ncols for lp in seen[2:]] == [2 * seen[0].ncols] + [seen[0].ncols] * 2
 
 
 def test_scenario_costs_solves_no_phase_1_after_a_solve_without_basis():
-    # the bisection above, on a solver that reports no basis: path 0's result
-    # has none, so path 1's infeasibility gets no elastic phase 1
+    # path 0 (the seed) is infeasible and its phase 1 is optimal without a
+    # basis: the other paths go to one stack, split as above, and path 1's
+    # infeasibility gets no phase 1
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
     solve, seen = _scripted_solver([Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE,
                                     Status.INFEASIBLE, Status.UNBOUNDED], bases=False)
     costs = scenario_costs(problem, paths, solve, x1=np.array([50.0, 60.0, 0.0]))
-    assert costs[1] == np.inf and costs[2] == -np.inf
-    rows = seen[1].nrows
-    assert [lp.nrows for lp in seen] == [3 * rows, rows, 2 * rows, rows, rows]
+    assert costs[0] == costs[1] == np.inf and costs[2] == -np.inf
+    rows = seen[0].nrows
+    assert [lp.nrows for lp in seen] == [rows, rows, 2 * rows, rows, rows]
+    assert seen[1].ncols > seen[0].ncols == seen[3].ncols
 
 
 def test_scenario_costs_iteration_limit_is_a_solver_error():

@@ -174,7 +174,12 @@ def test_shared_prefixes_take_the_core_method(caplog):
         f"master {stats['rows']} x {stats['cols']}, {res.iterations} iterations, "
         f"core nodes {stats['core']}, cuts {stats['optimality_cuts']} optimality + "
         f"{stats['feasibility_cuts']} feasibility, {stats['dropped']} dropped, "
-        f"tails {stats['solved']} solved + {stats['certified']} certified")
+        f"tails {stats['solved']} solved + {stats['certified']} certified, "
+        f"{stats['pivots']} pivots, {stats['fallback_solves']} fallback solves")
+    # the sums cover the rounds' pricing, not the anticipative pass before them
+    pricing = [r.scenario_costs for r in caplog.records if hasattr(r, "scenario_costs")][1:]
+    assert stats["pivots"] == sum(r["pivots"] for r in pricing) > 0
+    assert stats["fallback_solves"] == sum(r["fallback"] for r in pricing) == 0
     assert len(res.x) == lp.ncols
 
 
@@ -381,14 +386,19 @@ def test_debug_record_of_a_generated_solve(caplog):
     assert record.getMessage() == (
         f"solve_swc: generated, {stats['rounds']} rounds, {stats['leaves']} leaves, "
         f"master {master.nrows} x {master.ncols}, {res.iterations} iterations, "
-        f"pricing {stats['solved']} solved + {stats['certified']} certified")
+        f"pricing {stats['solved']} solved + {stats['certified']} certified, "
+        f"{stats['pivots']} pivots, {stats['fallback_solves']} fallback solves")
+    pricing = [r.scenario_costs for r in caplog.records if hasattr(r, "scenario_costs")]
+    assert stats["pivots"] == sum(r["pivots"] for r in pricing) > 0
+    assert stats["fallback_solves"] == sum(r["fallback"] for r in pricing) == 0
 
 
 @pytest.mark.parametrize("variant, hybrid", [("continuous", False), ("integer", True)])
 @pytest.mark.parametrize("seed", [[11, 0], [3001, 0]])
 def test_generation_keeps_one_basis_pool_across_rounds(variant, hybrid, seed, caplog):
     # the rounds' recourse LPs differ only in b(xi, x1), so the bases that
-    # round 1's solves leave in the pool price the same leaves in later rounds
+    # round 1's seed and walks leave in the pool price the same leaves in
+    # later rounds, and later walks start from round 1's seed
     problem = inventory_benchmark(5, variant)
     paths = draw_paths(problem.uncertainty, 600 if hybrid else 1884, seed)
     if hybrid:  # swct's tree: integer draws repeat and share a leaf
@@ -506,8 +516,8 @@ def test_degenerate_tails_price_on_the_solvers_bases(seed, caplog):
 
 def test_a_solver_without_bases_solves_shared_trees_whole(caplog):
     # as the external solver: no basis, so no pool and no cut.  The core method
-    # gives up after its anticipative pass (a first stack of FIRST_BATCH leaves,
-    # then the rest in one), and the whole LP is the third solve
+    # gives up after its anticipative pass (a one-leaf seed, then the rest in
+    # one stack), and the whole LP is the third solve
     problem = inventory_benchmark(4, "integer")
     paths = draw_paths(problem.uncertainty, 189, [11, 0])
     calls = []
@@ -526,9 +536,9 @@ def test_a_solver_without_bases_solves_shared_trees_whole(caplog):
 
 def test_a_solver_without_bases_stacks_whole_pricing_passes(caplog):
     # generation over leaves shares its pools across rounds, and with them the
-    # finding that the solver reports no basis: round 1 prices with a first
-    # stack of FIRST_BATCH leaves and two more, later rounds stack the most
-    # leaves from the start
+    # finding that the solver reports no basis: round 1 prices with a
+    # one-leaf seed and two stacks, later rounds stack the most leaves from
+    # the start
     problem = inventory_benchmark(5)
     paths = draw_paths(problem.uncertainty, 1884, [11, 0])
 

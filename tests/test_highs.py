@@ -59,7 +59,10 @@ def test_random_lps_of_every_status_match_linprog():
 @pytest.fixture(scope="module")
 def integer_instance_lps():
     # the LPs one benchmark instance with bounds solves; the recording
-    # solver is not solve_highs, so the core master is re-solved whole
+    # solver is not solve_highs, so the core master is re-solved whole.
+    # Three more validations run through a solver that reports no basis,
+    # so that block-diagonal stacks of 299 paths, one per validation after
+    # a one-path seed, are compared too
     problem = inventory_benchmark(5, "integer")
     paths = draw_paths(problem.uncertainty, 1884, [11, 0])
     lps = []
@@ -70,6 +73,9 @@ def integer_instance_lps():
 
     _, x1, gamma, _ = solve_swc_paths(problem, paths, record)
     empirical_violation(problem, x1, gamma, L=1, N=300, seed=[11, 1], solver=record)
+    for k in (1, 2, 3):
+        empirical_violation(problem, x1, gamma, L=1, N=300, seed=[11, k],
+                            solver=lambda lp: replace(record(lp), basis=None))
     sws_value(problem, paths, record)
     swct_value(problem, paths.values[:, :1], record)
     return lps
@@ -77,10 +83,11 @@ def integer_instance_lps():
 
 def test_every_lp_of_an_integer_instance_matches_linprog(integer_instance_lps):
     lps = integer_instance_lps
-    # the largest is the last core master, about 3,400 rows with its cuts
-    assert len(lps) > 20 and max(lp.nrows for lp in lps) > 3000
-    # stacks of tails past their bounds are infeasible, and their elastic
-    # phase 1 is solved next
+    # the last core master has about 3,400 rows with its cuts, each stack 6,578
+    assert len(lps) > 20 and sum(3000 < lp.nrows < 6000 for lp in lps) >= 1
+    assert sum(lp.nrows > 6000 for lp in lps) == 3
+    # a tail past its bounds is infeasible, and its elastic phase 1 is
+    # solved next
     statuses = [assert_same_as_linprog(lp) for lp in lps]
     assert set(statuses) == {Status.OPTIMAL, Status.INFEASIBLE}
 

@@ -6,6 +6,7 @@ VIOLATION_TOL) and costs within 1e-9 relative, with the same infinite
 costs for infeasible and unbounded paths.
 """
 import logging
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,25 @@ def pool_record(caplog):
                and hasattr(r, "scenario_costs")]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     return records[0].scenario_costs
+
+
+@contextmanager
+def pool_records():
+    """The scenario_costs records logged inside the block, without caplog,
+    which hypothesis's tests cannot take."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.addFilter(lambda r: hasattr(r, "scenario_costs"))
+    handler.emit = lambda r: records.append(r.scenario_costs)
+    logger = logging.getLogger("swcopt.builders")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def constant_recourse_problem(rng, H, free, degenerate, discrete):
@@ -110,10 +130,35 @@ def test_random_constant_recourse_models_match_oracle(seed, H, N, free, degenera
           "perturbed": x_bar + rng.integers(-2, 3, x_bar.size)}[fixed]
     paths = draw_paths(problem.uncertainty, N, [seed, 1])
     oracle = oracles.scenario_costs(problem, paths, x1=x1)
-    costs = scenario_costs(problem, paths, x1=x1)
+    with pool_records() as records:
+        costs = scenario_costs(problem, paths, x1=x1)
     finite = oracle[np.isfinite(oracle)]
     gamma = float(np.median(finite)) if finite.size else 0.0
     assert_matches_oracle(costs, oracle, gamma)
+    # the solver sees only seeds and the paths walks leave behind
+    stats = records[-1]
+    assert stats["solves"] == stats["seeds"] + stats["fallback"]
+
+
+def test_a_batch_takes_one_solve():
+    # 2000 paths at a fixed x1: the seed is the only solve; walks from its
+    # basis find every other basis the batch needs
+    problem = inventory_benchmark(5)
+    paths = draw_paths(problem.uncertainty, 2000, [5, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    calls = []
+
+    def solve(lp):
+        calls.append(lp.nrows)
+        return solve_highs(lp)
+
+    with pool_records() as records:
+        costs = scenario_costs(problem, paths, solve, x1=x1)
+    oracle = oracles.scenario_costs(problem, paths, x1=x1)
+    assert np.all(np.isfinite(oracle))
+    assert np.all(np.abs(costs - oracle) <= 1e-9 * np.abs(oracle))
+    assert len(calls) == records[-1]["solves"] == 1
+    assert records[-1]["fallback"] == 0 and records[-1]["pivots"] > 0
 
 
 def test_uncertain_recourse_matrix_gets_no_pool(caplog):
@@ -188,17 +233,19 @@ def test_debug_record_counts_an_infeasible_path(caplog):
     np.testing.assert_array_equal(costs[:-1], 0.5 + np.maximum(0.0, xi[:-1, 0] - 0.5))
     assert costs[-1] == np.inf
     stats = pool_record(caplog)
-    # the first stack of 32 feeds the pool, which prices the other 7 feasible paths;
-    # the infeasible path is a one-path stack, and its status is the path's
-    assert stats == {"paths": 40, "solved": 33, "certified": 7, "kept": stats["kept"],
-                     "rejected": 0, "solves": 2, "failed": {"infeasible": 1}}
-    assert stats["kept"] >= 1
-    assert "40 paths, 33 solved, 7 certified" in caplog.records[-1].getMessage()
+    # path 0 seeds the pool, whose basis prices every other feasible path.
+    # The infeasible path's walk ends, after one pivot, on a row with no
+    # entering column; its phase 1 seeds the second pool, which prices it
+    # infeasible
+    assert stats == {"paths": 40, "solved": 1, "certified": 39, "kept": 2, "rejected": 0,
+                     "solves": 2, "seeds": 2, "fallback": 0, "pivots": 1, "failed": {}}
+    assert ("40 paths, 1 solved, 39 certified, 2 bases kept, 0 rejected, 2 solves "
+            "(2 seeds, 0 fallback), 1 pivots") in caplog.records[-1].getMessage()
 
 
 def test_a_solver_without_bases_stacks_every_other_path_at_once(caplog):
-    # the first stack's result carries no basis, so no pool can fill: the other
-    # 1968 paths go to the solver as one stack of at most CHUNK_ROWS rows
+    # the seed's result carries no basis, so no pool can fill: the other
+    # 1999 paths go to the solver as one stack of at most CHUNK_ROWS rows
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 2000, [5, 1])
     x1 = np.array([70.0, 70.0, 70.0])
@@ -212,29 +259,29 @@ def test_a_solver_without_bases_stacks_every_other_path_at_once(caplog):
         costs = scenario_costs(problem, paths, solve, x1=x1)
     stats = pool_record(caplog)
     assert stats["solves"] == len(calls) == 2 and stats["solved"] == 2000
-    assert calls[1] == 1968 * calls[0] // 32
+    assert calls[1] == 1999 * calls[0]
     np.testing.assert_allclose(costs, scenario_costs(problem, paths, x1=x1), rtol=1e-9)
 
 
 def test_split_stacks_feed_both_pools(caplog):
-    # every tenth path is infeasible, so the first stack fails and is split in
-    # halves down to path 0 (infeasible) and path 1 (optimal).  Path 0's
-    # elastic phase 1 certifies every other infeasible path, and path 1's
-    # basis prices every feasible one.
+    # every tenth path is infeasible, path 0 among them: path 0's elastic
+    # phase 1 certifies every other infeasible path, and path 1's basis
+    # prices every feasible one.
     problem = infeasible_tail_problem()
     xi = np.resize([-1.0, 1.0, 2.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0], 2000)
     with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
         costs = scenario_costs(problem, ScenarioPaths(xi[:, None], (1,)), x1=np.array([0.5]))
     np.testing.assert_array_equal(costs, np.where(xi < 0, np.inf, xi))
     stats = pool_record(caplog)
-    # stacks of 32, 16, 8, 4, 2, then path 0, its phase 1 and path 1
-    assert stats["solves"] == 8 and stats["solved"] == 2 and stats["certified"] == 1998
+    # path 0, its phase 1 and path 1 seed the pools, and no walk needs a solve
+    assert stats["solves"] == stats["seeds"] == 3 and stats["fallback"] == 0
+    assert stats["solved"] == 2 and stats["certified"] == 1998
     assert stats["failed"] == {"infeasible": 1} and stats["rejected"] == 0
 
 
 def test_sparse_infeasible_paths_match_oracle(caplog):
-    # 1% of the paths infeasible at x1, scattered over the stacks; the oracle
-    # solves each path alone after its one failed stack
+    # 1% of the paths infeasible at x1, scattered; the oracle solves each
+    # path alone after its one failed stack
     problem = infeasible_tail_problem()
     rng = np.random.default_rng(0)
     xi = rng.choice([1.0, 2.0, 3.0], 1000)
@@ -245,13 +292,17 @@ def test_sparse_infeasible_paths_match_oracle(caplog):
     oracle = oracles.scenario_costs(problem, paths, x1=x1)
     assert np.count_nonzero(oracle == np.inf) == 10
     assert_matches_oracle(costs, oracle, 1.0)
-    assert pool_record(caplog)["solves"] < 20
+    # one solve seeds each pool: path 0's, and the phase 1 of the first
+    # path whose walk finds it infeasible
+    assert pool_record(caplog)["solves"] == 2
 
 
 def test_zero_solutions_fail_the_self_check(caplog):
     # a solver that reports x = 0 as optimal, with the basis HiGHS ends on:
     # the basis is sound, but its y'b does not reproduce the zero cost.  At
-    # this x1 every path's recourse is feasible, so HiGHS has a basis for it
+    # this x1 every path's recourse is feasible, so HiGHS has a basis for it.
+    # The seed's basis is refused, so the other 39 paths are solved in one
+    # stack, not one solve each
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 40, seed=[1, 0])
     x1 = np.array([70.0, 70.0, 70.0])
@@ -263,4 +314,5 @@ def test_zero_solutions_fail_the_self_check(caplog):
         costs = scenario_costs(problem, paths, solve, x1=x1)
     np.testing.assert_array_equal(costs, float(problem.c1 @ x1))
     stats = pool_record(caplog)
-    assert stats["kept"] == 0 and stats["rejected"] == 32 and stats["solved"] == 40
+    assert stats["kept"] == 0 and stats["rejected"] == 1 and stats["solved"] == 40
+    assert stats["solves"] == 2 and stats["seeds"] == 1 and stats["fallback"] == 0
