@@ -61,6 +61,7 @@ FIRST_LEAVES = 8  # leaves in _solve_grouping's first master
 ADD_LEAVES = 20  # most violated leaves added to the working set per round
 LEAF_TOL = 1e-9  # absolute budget excess at which a leaf counts as violated
 POOL_KINDS = ("optimal", "phase1")  # _path_costs' basis pools
+PRICING_SUMS = ("solved", "certified", "pivots", "fallback", "warm")  # summed by solve_swc
 
 log = logging.getLogger(__name__)
 
@@ -308,15 +309,21 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
 
     When T, W and c of stages 2..H are constant, the paths' LPs differ only
     in their right-hand sides b(xi), and most paths are priced without a
-    solve on a pool of optimal bases (_BasisPool).  The solver is called on
-    one path to seed the pool (again on the next path while the pool holds
-    no basis).  Each pass then walks up to WALK_PATHS unresolved paths from
-    the seed by dual simplex pivots to bases that price them, adds those
-    bases to the pool, and prices every unresolved path on them.  A path
-    whose walk proves it infeasible is walked on a second pool, of bases of
-    the elastic phase 1 (_elastic; seeded by one solve of its phase 1),
-    where a positive value makes the path infeasible without a solve.  A
-    walk that takes more than WALK_PIVOTS pivots, or whose basis the pool
+    solve on a pool of optimal bases (_BasisPool).  The pools belong to the
+    problem (MultistageRobustLP.pools), one pair per solver and per LP (the
+    whole LP without x1, the recourse LP with it), and last as long as it:
+    every pricing call on the problem, this one and those of
+    solve_swc_paths, sws_value and swct_value, first prices its paths on
+    the bases earlier calls found, so a warm call often needs no solve and
+    no walk.  While the pool holds no basis the solver is called on one
+    path to seed it (again on the next path while it still holds none).
+    Each pass then walks up to WALK_PATHS unresolved paths from the seed by
+    dual simplex pivots to bases that price them, adds those bases to the
+    pool, and prices every unresolved path on them.  A path whose walk
+    proves it infeasible is walked on a second pool, of bases of the
+    elastic phase 1 (_elastic; seeded by one solve of its phase 1), where
+    a positive value makes the path infeasible without a solve.  A walk
+    that takes more than WALK_PIVOTS pivots, or whose basis the pool
     refuses, leaves its path to a one-path solve (a fallback).  Once the
     pool refuses a basis the solver ended on, the call's unresolved paths
     are solved in stacks, as below, not one solve per path.
@@ -329,17 +336,29 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     unbounded; SolverError on an iteration limit).
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
-    paths solved and certified, bases kept and rejected, LP solves (of them
-    seeds and fallbacks), dual simplex pivots, and the paths whose own
-    one-path solve was not optimal, by status (also as the record's
-    `scenario_costs` dict).
+    paths solved and certified, the bases its pools hold at the end (kept)
+    and those the call rejected, LP solves (of them seeds and fallbacks),
+    dual simplex pivots, the paths whose own one-path solve was not
+    optimal, by status, and the bases the pools held when the call began,
+    warm (also as the record's `scenario_costs` dict).
     """
     cost = _path_costs(problem, ScenarioPaths.of(paths), get_solver(solver), x1)[0]
     return cost + (0.0 if x1 is None else float(problem.c1 @ x1))
 
 
+def _pools(problem: MultistageRobustLP, solve, s: int | None) -> dict:
+    """The problem's basis pools for the solver and the per-path LP whose
+    first decision stage is s (None for the whole LP, with stage 1): a dict
+    of POOL_KINDS -> _BasisPool, and "bases": False once one of the solver's
+    optimal results on the LP carried no basis.  The LPs of one s differ
+    only in b(xi, state) when T, W and c are constant, so their pools serve
+    every later call; each solver keeps its own, so no solver prices on
+    another's bases."""
+    return problem.pools.setdefault(solve, {}).setdefault(s, {})
+
+
 def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
-                state: np.ndarray | None, s: int = 2, pools: dict | None = None,
+                state: np.ndarray | None, s: int = 2,
                 recourse: bool = False) -> tuple[np.ndarray, np.ndarray | None, dict, bool]:
     """scenario_costs' loop over the per-path LPs _separable_blocks(problem,
     paths, state, s) builds, so without the constant c1'x1 of a fixed x1.
@@ -349,23 +368,23 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     has no optimal solution), the call's statistics, and whether the pool
     could run: T, W and c are constant and every optimal solve had a basis.
 
-    In pooled mode the solver sees one path at a time: a seed while the
-    "optimal" pool holds no basis, or a fallback after a walk.  An
-    infeasible seed's phase 1 is walked on (or seeds) the "phase1" pool,
-    so that _solve_core has its feasibility cut.  After a refused solver
-    basis the rest goes to the stacks of non-pooled mode; the returned
-    flag does not change.
-
-    pools keeps the basis pools across calls on LPs with the same A and c
-    (same s), so a later call walks from the same seed without a solve.
-    When it is given, an optimal solve without a basis is recorded there
-    ("bases": False), so that later calls stack the most paths from their
-    first solve."""
+    The pools are the problem's for the solver and this LP (_pools), so
+    the call first prices every path on the bases earlier calls left there
+    and walks from their seed without a solve.  In pooled mode the solver
+    sees one path at a time: a seed while the "optimal" pool holds no
+    basis, or a fallback after a walk.  An infeasible seed's phase 1 is
+    walked on (or seeds) the "phase1" pool, so that _solve_core has its
+    feasibility cut.  After a refused solver basis the rest of the call
+    goes to the stacks of non-pooled mode; the returned flag does not
+    change.  An optimal solve without a basis is recorded in the pools
+    ("bases": False), so that later calls with the solver stack the most
+    paths from their first solve."""
     first = 1 if state is None else s
     rows_per = sum(problem.dims.m[first - 1:])
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
-    keep = pools is not None
-    pools = {} if pools is None else pools
+    pools = _pools(problem, solve, None if state is None else s)
+    warm = sum(len(pools[k].duals) for k in POOL_KINDS if k in pools)
+    rejected0 = sum(pools[k].rejected for k in POOL_KINDS if k in pools)
     constant = rows_per > 0 and _recourse_is_constant(problem)
     marks = {}  # bases of each pool that every unresolved path has been priced on
     done = np.zeros(len(paths), bool)
@@ -454,10 +473,9 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
                     continue
             lp, res = run(todo[:1])
             count["seeds"] += 1
-            more = keep or not done.all()
-            if res.status is Status.OPTIMAL and res.basis is not None and more:
+            if res.status is Status.OPTIMAL and res.basis is not None:
                 offer("optimal", lp, res, todo[0], out[todo[0]])
-            elif res.status is Status.INFEASIBLE and more:
+            elif res.status is Status.INFEASIBLE:
                 phase1(todo[:1], lp)
             continue  # walk before pricing, so the first pricing pass has the walks' bases
         walked = todo[:WALK_PATHS]
@@ -483,12 +501,13 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     stats = {"paths": len(paths), "solved": count["solved"],
              "certified": len(paths) - count["solved"],
              "kept": sum(len(pools[k].duals) for k in POOL_KINDS if k in pools),
-             "rejected": sum(pools[k].rejected for k in POOL_KINDS if k in pools),
+             "rejected": sum(pools[k].rejected for k in POOL_KINDS if k in pools) - rejected0,
              "solves": count["solves"], "seeds": count["seeds"], "fallback": count["fallback"],
-             "pivots": count["pivots"], "failed": dict(failed)}
+             "pivots": count["pivots"], "failed": dict(failed), "warm": warm}
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
               "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves (%(seeds)d seeds, "
-              "%(fallback)d fallback), %(pivots)d pivots, failed paths %(failed)s",
+              "%(fallback)d fallback), %(pivots)d pivots, failed paths %(failed)s, "
+              "%(warm)d bases warm",
               stats, extra={"scenario_costs": stats})
     return out, sol, stats, pooled()
 
@@ -519,16 +538,23 @@ def _certify(problem, paths, state, s, pool: "_BasisPool", first: int, todo: np.
     for lo in range(0, todo.size, CERTIFY_BLOCK):
         idx = todo[lo : lo + CERTIFY_BLOCK]
         B = _path_rhs(problem, paths.values[idx], _state_rows(state, idx), s)
-        which, cost = pool.price(B, first)
+        tol = _rhs_tol(B)
+        which, cost = pool.price(B, tol, first)
         priced = which >= 0
         if phase1:
-            priced &= cost > POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+            priced &= cost > tol
             out[idx[priced]] = np.inf
         else:
             out[idx[priced]] = cost[priced]
             if sol is not None:
                 sol[idx[priced]] = pool.solutions(B[priced], which[priced])
         done[idx[priced]] = True
+
+
+def _rhs_tol(B: np.ndarray) -> np.ndarray:
+    """The basis pool's absolute tolerance for each right-hand side of B
+    (K, m): POOL_TOL relative to its largest entry, at least POOL_TOL."""
+    return POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
 
 
 class _BasisPool:
@@ -564,6 +590,7 @@ class _BasisPool:
         self.inverses: list[np.ndarray] = []
         self.duals: list[np.ndarray] = []     # y = c_B B^-1
         self.primal: list[tuple[np.ndarray, np.ndarray]] = []  # LP basic columns, their B^-1 rows
+        self.hits: list[int] = []            # paths each basis has priced
         self.rejected = 0
 
     def local(self, basis: np.ndarray) -> np.ndarray:
@@ -571,17 +598,21 @@ class _BasisPool:
         convention (row i's slack is -1-i)."""
         return np.sort(np.where(basis >= 0, basis, self.n - 1 - basis))
 
-    def price(self, B: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-        """For right-hand sides B (K, m): the first of the bases from `first`
-        on that is primal feasible (-1 where none is), and its y'b."""
-        tol = POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+    def price(self, B: np.ndarray, tol: np.ndarray,
+              first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """For right-hand sides B (K, m) with tolerances tol (_rhs_tol(B)):
+        a basis from `first` on that is primal feasible (-1 where none is),
+        and its y'b.  The bases are tried in order of the paths they have
+        priced, most first (by index on ties), so that the pool's common
+        regions, which depend on the calls it has served, come first."""
         which = np.full(len(B), -1)
         cost = np.full(len(B), np.nan)
-        for k in range(first, len(self.duals)):
+        for k in sorted(range(first, len(self.duals)), key=lambda k: -self.hits[k]):
             idx = np.flatnonzero(which < 0)
             idx = idx[np.all(B[idx] @ self.inverses[k].T >= -tol[idx, None], axis=1)]
             which[idx] = k
             cost[idx] = B[idx] @ self.duals[k]
+            self.hits[k] += idx.size
         return which, cost
 
     def solutions(self, B: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -617,6 +648,7 @@ class _BasisPool:
         self.bases.append(basis)
         self.inverses.append(inv)
         self.duals.append(y)
+        self.hits.append(0)
         self.primal.append((basis[basis < self.n], Binv[basis < self.n]))
         return True
 
@@ -630,7 +662,7 @@ class _BasisPool:
         column, a Farkas certificate that its b is infeasible, or after
         WALK_PIVOTS pivots.  Intermediate bases are not kept.  Returns
         which rows of B are infeasible, and the pivots taken."""
-        tol = POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+        tol = _rhs_tol(B)
         bases, binvs = [self.bases[0]], [self.seed]
         index = {bases[0].tobytes(): 0}
         moves = {}  # (basis, leaving position, direction) -> next basis, -1 for a Farkas row
@@ -818,9 +850,10 @@ def _solve_grouping(problem: MultistageRobustLP, grouping: ScenarioPrefixTree,
     dropped, and the tails solved and certified by pricing; both add the
     pricing's dual simplex pivots and fallback solves, summed over its
     scenario_costs records (pivots, fallback_solves; all also as the
-    record's `solve_swc` dict, where a core solve also lists the master's
-    iterations per round, master_iterations).  A monolithic solve after a
-    method gave up adds why, `fallback`.
+    record's `solve_swc` dict, which also sums their warm bases, warm, and
+    where a core solve also lists the master's iterations per round,
+    master_iterations).  A monolithic solve after a method gave up adds
+    why, `fallback`.
     """
     K = grouping.node_counts()
     found = None
@@ -863,30 +896,32 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     the master's x1 by scenario_costs' loop, adding the ADD_LEAVES most
     violated leaves outside the set (cost above gamma by more than
     LEAF_TOL) until none is.  The leaves' recourse LPs share A and c in
-    every round, only b(xi, x1) moving with x1, so one pair of basis pools
-    is kept across the rounds, as _solve_core keeps its pools: later
-    rounds price on round 1's bases and walk from its seed without a
-    solve, and a solver that reports no basis gets the most leaves per
-    stack from round 2 on.  The master is a relaxation whose (x1, gamma) ends feasible for
-    every leaf, so its value is the LP's optimum; x holds each leaf's
-    recourse from the last pricing pass.  Each master is the relaxed
-    grouping of its working set, the same LP as its prefix tree when no
-    prefix is shared.  Gives up, returning "unbounded tail", when a leaf's
-    recourse is unbounded at the master's x1 (its budget row is slack, but
-    no recourse vector comes from pricing)."""
+    every round, only b(xi, x1) moving with x1, and with every other
+    pricing call on the problem at a fixed x1 (validation among them): all
+    price on the problem's pair of basis pools for that LP (_pools).  So a
+    round prices on the bases of earlier rounds and calls and walks from
+    their seed without a solve, and a solver that reports no basis gets the
+    most leaves per stack once one call has seen that.  The master is a
+    relaxation whose (x1, gamma) ends feasible for every leaf, so its value
+    is the LP's optimum; x holds each leaf's recourse from the last pricing
+    pass.  Each master is the relaxed grouping of its working set, the
+    same LP as its prefix tree when no prefix is shared.  Gives up,
+    returning "unbounded tail", when a leaf's recourse is unbounded at the
+    master's x1 (its budget row is slack, but no recourse vector comes from
+    pricing)."""
     t0 = time.perf_counter()
     leaves = ScenarioPaths(tree.nodes[-1], tree.paths.widths)
     work = np.arange(min(FIRST_LEAVES, len(leaves)))
     rounds = iterations = 0
-    pools, counts = {}, Counter()
+    counts = Counter()
     while True:
         lp, vmap = build_swc(problem, relaxed_grouping(ScenarioPaths(leaves.values[work],
                                                                      leaves.widths)))
         master = require_optimal(solve(lp), "swc master")
         rounds, iterations = rounds + 1, iterations + master.iterations
         x1, gamma = master.x[vmap.x1.start : vmap.x1.stop], float(master.x[vmap.gamma])
-        cost, Z, stats, _ = _path_costs(problem, leaves, solve, x1, pools=pools, recourse=True)
-        counts.update({k: stats[k] for k in ("solved", "certified", "pivots", "fallback")})
+        cost, Z, stats, _ = _path_costs(problem, leaves, solve, x1, recourse=True)
+        counts.update({k: stats[k] for k in PRICING_SUMS})
         if np.any(cost == -np.inf):
             return "unbounded tail"
         excess = (cost + float(problem.c1 @ x1)) - gamma
@@ -902,7 +937,7 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     return res, {"method": "generated", "rounds": rounds, "leaves": len(work), "rows": lp.nrows,
                  "cols": lp.ncols, "iterations": iterations, "solved": counts["solved"],
                  "certified": counts["certified"], "pivots": counts["pivots"],
-                 "fallback_solves": counts["fallback"]}
+                 "fallback_solves": counts["fallback"], "warm": counts["warm"]}
 
 
 def _core_nodes(tree: ScenarioPrefixTree) -> list[np.ndarray]:
@@ -942,7 +977,7 @@ def _tail_duals(pool: "_BasisPool | None",
     rejected, or never reported)."""
     if pool is None:
         return None
-    which, _ = pool.price(B, 0)
+    which, _ = pool.price(B, _rhs_tol(B))
     return None if np.any(which < 0) else (which, np.asarray(pool.duals)[which])
 
 
@@ -965,20 +1000,23 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     The master (_core_master) holds gamma, x1 and the core nodes'
     certificates; it is a GrowingLP, so on HiGHS every round re-solves one
     model from its last basis after the round's cuts.  A leaf whose deepest
-    core node is at level d has an unshared tail: its certificates of
-    stages d+2..H, which no other leaf uses.  So the whole LP is the
-    master plus, per leaf, c1'x1 + its core ancestors' costs + Q(b) <=
-    gamma, with Q the optimal tail cost at right-hand side b = b(xi, x_d)
-    (x_d the state at its deepest core node, x1 when d = 0).  The tail LPs
-    of one depth share A and c, so each depth keeps one pair of basis pools
-    across rounds, and every dual vector y of a pooled basis gives Q(b) >=
-    y'b for all b.  Each round prices every tail at the master's point with
-    scenario_costs' loop and adds, for each leaf over gamma by more than
-    LEAF_TOL, the optimality cut y'b(xi, x_d) with y the duals of the
-    pooled basis that prices it, and for each infeasible tail the
-    feasibility cut sigma'b(xi, x_d) <= 0 with sigma those of a pooled
-    basis of its elastic phase 1.  The bound gamma >= max over leaves of
-    the anticipative optimum keeps the first masters bounded.
+    core node is at level d has an unshared tail: its certificates of stages
+    d+2..H, which no other leaf uses.  So the whole LP is the master plus, per
+    leaf, c1'x1 + its core ancestors' costs + Q(b) <= gamma, with Q the
+    optimal tail cost at right-hand side b = b(xi, x_d) (x_d the state at its
+    deepest core node, x1 when d = 0).  The tail LPs of one depth share A and
+    c, with each other in every round and with every other pricing call on the
+    problem whose LP starts at the same stage, so each depth prices on the
+    problem's pair of basis pools for that LP (_pools; at depth 0 those of
+    validation at a fixed x1, and the anticipative pass those of sws_value),
+    and every dual vector y of a pooled basis gives Q(b) >= y'b for all b.
+    Each round prices every tail at the master's point with scenario_costs'
+    loop and adds, for each leaf over gamma by more than LEAF_TOL, the
+    optimality cut y'b(xi, x_d) with y the duals of the pooled basis that
+    prices it, and for each infeasible tail the feasibility cut sigma'b(xi,
+    x_d) <= 0 with sigma those of a pooled basis of its elastic phase 1.  The
+    bound gamma >= max over leaves of the anticipative optimum keeps the first
+    masters bounded.
 
     Within a round, the new cuts of one kind from leaves with the same
     deepest core node have the same columns, and those priced on the same
@@ -1023,7 +1061,6 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             coef = np.concatenate([[-1.0], problem.c1,
                                    *(problem.stage_block(t).c.base for t in range(2, d + 2))])
             groups.append((d, g, cols, coef))
-    pools = [{} for _ in range(S)]
     seen, tails, master_iterations = set(), [], []
     lp = GrowingLP(master, solve)
     counts = Counter()
@@ -1037,8 +1074,8 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             X = leaves.values[g]
             state = res.x[cols[:, -ns:]]  # x1, or the deepest core node's block
             cost, Z, stats, _ = _path_costs(problem, ScenarioPaths(X, leaves.widths), solve,
-                                            state, s, pools[d], recourse=True)
-            counts.update({k: stats[k] for k in ("solved", "certified", "pivots", "fallback")})
+                                            state, s, recourse=True)
+            counts.update({k: stats[k] for k in PRICING_SUMS})
             if np.any(cost == -np.inf):
                 return "unbounded tail"
             tails.append(Z)
@@ -1046,7 +1083,8 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
             for kind, idx in (("optimal", over), ("phase1", np.flatnonzero(cost == np.inf))):
                 if not idx.size:
                     continue
-                found = _tail_duals(pools[d].get(kind), _path_rhs(problem, X[idx], state[idx], s))
+                found = _tail_duals(_pools(problem, solve, s).get(kind),
+                                    _path_rhs(problem, X[idx], state[idx], s))
                 if found is None:
                     return "no pooled dual"
                 which, Y = found
@@ -1100,4 +1138,4 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                     "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["phase1"],
                     "dropped": counts["dropped"], "solved": counts["solved"],
                     "certified": counts["certified"], "pivots": counts["pivots"],
-                    "fallback_solves": counts["fallback"]}
+                    "fallback_solves": counts["fallback"], "warm": counts["warm"]}

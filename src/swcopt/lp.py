@@ -19,6 +19,7 @@ from the last basis.
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -393,7 +394,9 @@ def get_solver(spec: "str | SolverFn | None" = None) -> SolverFn:
 
     "builtin" -> two-phase simplex; "highs" (default) -> scipy/HiGHS;
     "external" or "external:<command>" -> subprocess adapter (command from
-    the suffix or the SWC_EXTERNAL_SOLVER environment variable).
+    the suffix or the SWC_EXTERNAL_SOLVER environment variable).  A selector
+    resolves to the same callable every time, the key of a problem's basis
+    pools (MultistageRobustLP.pools).
     """
     if spec is None:
         return solve_highs
@@ -406,11 +409,15 @@ def get_solver(spec: "str | SolverFn | None" = None) -> SolverFn:
 
         return solve_builtin
     if spec == "external" or spec.startswith("external:"):
-        from .interchange import solve_external
-
-        command = spec.partition(":")[2] or None
-        return lambda lp: solve_external(lp, command)
+        return _external(spec.partition(":")[2] or None)
     raise ValueError(f"unknown solver selector {spec!r}")
+
+
+@functools.cache
+def _external(command: str | None) -> SolverFn:
+    from .interchange import solve_external
+
+    return lambda lp: solve_external(lp, command)
 
 
 def require_optimal(res: SolveResult, context: str = "") -> SolveResult:

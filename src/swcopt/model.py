@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -24,8 +24,9 @@ _SENSES = (LE, EQ, GE)
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
-    """A read-only view of a as an array (the caller's array stays writeable)."""
-    arr = np.asarray(a, dtype=dtype).view()
+    """A read-only copy of a, so that no later write to the caller's array
+    reaches the model."""
+    arr = np.array(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -147,14 +148,12 @@ class IntegerBoxSupport:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=int))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=int))
+        lo = _freeze(np.atleast_1d(self.lower), int)
+        hi = _freeze(np.atleast_1d(self.upper), int)
         if lo.shape != hi.shape:
             raise ValueError("lower/upper shape mismatch")
         if np.any(lo > hi):
             raise ValueError("integer box needs lower <= upper componentwise")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -279,13 +278,17 @@ class ScenarioPath:
 class ScenarioPaths:
     """N scenario paths as one read-only (N, D) float64 array: row i is
     path i, its stage-t values in the next widths[t-1] columns.  An int
-    index gives a ScenarioPath view, a slice gives a ScenarioPaths."""
+    index gives a ScenarioPath view, a slice gives a ScenarioPaths.  The
+    array is a read-only view, not a copy (a validation batch can hold
+    millions of paths), so the caller's array stays writeable."""
 
     values: np.ndarray
     widths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if self.values.ndim != 2 or self.values.shape[1] != sum(self.widths):
             raise ValueError(f"path array of shape {self.values.shape} "
                              f"does not fit stage widths {self.widths}")
@@ -337,6 +340,14 @@ class StageBlock:
 
 @dataclass(frozen=True)
 class MultistageRobustLP:
+    """The model, immutable: its coefficient arrays are read-only copies.
+
+    pools holds the basis pools of its per-path LPs, filled by pricing
+    (swcopt.builders) and kept for the life of the object, so that every
+    later pricing call on the problem starts from the bases earlier calls
+    found.  They are not part of the model: a pickled or copied problem
+    carries none, so a --jobs task starts cold."""
+
     dims: StageDims
     A: np.ndarray
     h1: np.ndarray
@@ -346,6 +357,10 @@ class MultistageRobustLP:
     uncertainty: UncertaintySet
     nonneg: tuple[tuple[bool, ...], ...] = ()
     var_names: tuple[tuple[str, ...], ...] | None = None
+    pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "pools": {}}
 
     def __post_init__(self):
         object.__setattr__(self, "A", _freeze(self.A))

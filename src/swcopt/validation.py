@@ -78,10 +78,13 @@ def empirical_violation(
     Draw the validation paths from a stream disjoint from training (the
     caller picks the seed).  Equals the batched average (1/L) sum_l (1/N)
     sum_i of the violation indicator.  The recourse costs come from
-    scenario_costs: with constant T, W and c, the solver sees one seed
-    path (a few more if a path is infeasible or a walk falls back), dual
-    simplex walks from its basis find the other bases the batch needs, and
-    every path is priced on that pool; otherwise every path is solved.
+    scenario_costs: with constant T, W and c, every path is priced on the
+    problem's basis pool for the recourse LP, which earlier calls at any
+    x1 on the problem, the solve's pricing among them, have filled; the
+    solver sees a seed path only while the pool is empty (a few more if
+    a path is infeasible or a walk falls back), and dual simplex walks
+    from the seed's basis find the bases the pool lacks.  Otherwise every
+    path is solved.
     """
     if L < 1 or N < 1:
         raise ValueError("L and N must be positive")

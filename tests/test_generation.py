@@ -180,6 +180,7 @@ def test_shared_prefixes_take_the_core_method(caplog):
     pricing = [r.scenario_costs for r in caplog.records if hasattr(r, "scenario_costs")][1:]
     assert stats["pivots"] == sum(r["pivots"] for r in pricing) > 0
     assert stats["fallback_solves"] == sum(r["fallback"] for r in pricing) == 0
+    assert stats["warm"] == sum(r["warm"] for r in pricing) > 0
     assert len(res.x) == lp.ncols
 
 
@@ -391,6 +392,7 @@ def test_debug_record_of_a_generated_solve(caplog):
     pricing = [r.scenario_costs for r in caplog.records if hasattr(r, "scenario_costs")]
     assert stats["pivots"] == sum(r["pivots"] for r in pricing) > 0
     assert stats["fallback_solves"] == sum(r["fallback"] for r in pricing) == 0
+    assert stats["warm"] == sum(r["warm"] for r in pricing) > 0
 
 
 @pytest.mark.parametrize("variant, hybrid", [("continuous", False), ("integer", True)])

@@ -62,7 +62,9 @@ def integer_instance_lps():
     # solver is not solve_highs, so the core master is re-solved whole.
     # Three more validations run through a solver that reports no basis,
     # so that block-diagonal stacks of 299 paths, one per validation after
-    # a one-path seed, are compared too
+    # a one-path seed, are compared too.  sws_value and swct_value price on
+    # the basis pools the core method's anticipative pass and the first
+    # validation left on the problem, so they solve no seed path
     problem = inventory_benchmark(5, "integer")
     paths = draw_paths(problem.uncertainty, 1884, [11, 0])
     lps = []
@@ -84,7 +86,7 @@ def integer_instance_lps():
 def test_every_lp_of_an_integer_instance_matches_linprog(integer_instance_lps):
     lps = integer_instance_lps
     # the last core master has about 3,400 rows with its cuts, each stack 6,578
-    assert len(lps) > 20 and sum(3000 < lp.nrows < 6000 for lp in lps) >= 1
+    assert len(lps) >= 19 and sum(3000 < lp.nrows < 6000 for lp in lps) >= 1
     assert sum(lp.nrows > 6000 for lp in lps) == 3
     # a tail past its bounds is infeasible, and its elastic phase 1 is
     # solved next

@@ -8,15 +8,20 @@ from swcopt.model import (
     BoxSupport,
     DiscreteSupport,
     IntegerBoxSupport,
+    MultistageRobustLP,
     ScenarioPath,
     ScenarioPaths,
+    StageBlock,
     StageDims,
+    UncertaintySet,
     evaluate_coefficients,
     stage_vertices,
     validate,
 )
+from swcopt.builders import scenario_costs
 from swcopt.inventory import inventory_benchmark, table_data
 from swcopt.problem_io import problem_from_json, problem_to_json
+from swcopt.sampling import draw_paths
 
 
 def test_affine_map_constant_ignores_path():
@@ -223,3 +228,38 @@ def test_integer_variant_round_trip():
     assert isinstance(back.uncertainty.stages[0], IntegerBoxSupport)
     assert back.uncertainty.stages[0].lower[0] == 53
     assert back.uncertainty.stages[0].upper[0] == 97
+
+
+def test_writing_to_the_source_arrays_leaves_the_model_unchanged():
+    # the model copies its coefficient arrays, so its basis pools, which
+    # outlive every call, cannot go stale through the caller's arrays
+    base = inventory_benchmark(3)
+    blk = base.stage_block(2)
+    T, W, h, hterm, c = (blk.T.base.copy(), blk.W.base.copy(), blk.h.base.copy(),
+                         blk.h.terms[0][1].copy(), blk.c.base.copy())
+    A, h1, c1 = base.A.copy(), base.h1.copy(), base.c1.copy()
+    nominal = base.uncertainty.stages[0].nominal.copy()
+    lower, upper = np.array([50]), np.array([90])
+    stages = (StageBlock(AffineMap(T), AffineMap(W), AffineMap(h, ((0, hterm),)), AffineMap(c),
+                         blk.senses), *base.stages[1:])
+    supports = (BoxSupport(nominal, 0.5), IntegerBoxSupport(lower, upper))
+    problem = MultistageRobustLP(base.dims, A, h1, c1, base.senses1, stages,
+                                 UncertaintySet(supports), base.nonneg)
+    paths = draw_paths(problem.uncertainty, 200, [3, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    costs = scenario_costs(problem, paths, x1=x1)
+    for arr in (T, W, h, hterm, c, A, h1, c1, nominal, lower, upper):
+        arr *= 2
+    np.testing.assert_array_equal(scenario_costs(problem, paths, x1=x1), costs)
+    assert draw_paths(problem.uncertainty, 200, [3, 1]) == paths
+    for arr in (problem.A, problem.h1, problem.c1, problem.stage_block(2).W.base,
+                problem.stage_block(2).h.terms[0][1], supports[1].lower, supports[1].upper):
+        assert not arr.flags.writeable
+
+
+def test_scenario_paths_view_the_callers_array():
+    # a validation batch is not copied: the paths are a read-only view
+    values = np.zeros((4, 2))
+    paths = ScenarioPaths(values, (1, 1))
+    assert np.shares_memory(paths.values, values) and not paths.values.flags.writeable
+    assert values.flags.writeable

@@ -5,7 +5,9 @@ The gate everywhere: identical violation indicators (cost > gamma +
 VIOLATION_TOL) and costs within 1e-9 relative, with the same infinite
 costs for infeasible and unbounded paths.
 """
+import copy
 import logging
+import pickle
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -18,7 +20,7 @@ import oracles
 from swcopt.builders import scenario_costs, solve_swc_paths, vertex_paths
 from swcopt.complexity import sample_complexity
 from swcopt.inventory import BENCHMARK_N0, inventory_benchmark
-from swcopt.lp import SolveResult, Status, solve_highs
+from swcopt.lp import SolveResult, Status, get_solver, solve_highs
 from swcopt.model import (EQ, GE, LE, AffineMap, BoxSupport, DiscreteSupport, MultistageRobustLP,
                           ScenarioPaths, StageBlock, StageDims, UncertaintySet)
 from swcopt.sampling import draw_paths
@@ -140,6 +142,86 @@ def test_random_constant_recourse_models_match_oracle(seed, H, N, free, degenera
     assert stats["solves"] == stats["seeds"] + stats["fallback"]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    free=st.booleans(),
+    degenerate=st.booleans(),
+    discrete=st.booleans(),
+)
+def test_warm_pools_match_cold_copies(seed, H, free, degenerate, discrete):
+    # one problem priced call after call, at x1 free and at fixed x1 that
+    # leave some paths infeasible, against a copy that carries no pools
+    rng = np.random.default_rng(seed)
+    problem, x_bar = constant_recourse_problem(rng, H, free, degenerate, discrete)
+    fixed = [x_bar, None, x_bar + rng.integers(-2, 3, x_bar.size), x_bar,
+             x_bar + rng.integers(-1, 2, x_bar.size), None]
+    kept = {}  # the pools' bases after the last call on each LP
+    for call, x1 in enumerate(fixed):
+        paths = draw_paths(problem.uncertainty, 40, [seed, call])
+        with pool_records() as records:
+            warm = scenario_costs(problem, paths, x1=x1)
+        cold = scenario_costs(copy.copy(problem), paths, x1=x1)
+        finite = cold[np.isfinite(cold)]
+        assert_matches_oracle(warm, cold, float(np.median(finite)) if finite.size else 0.0)
+        key = x1 is None
+        assert records[-1]["warm"] == kept.get(key, 0)
+        kept[key] = records[-1]["kept"]
+
+
+def test_validation_batches_warm_match_cold(fixed_solutions):
+    # the benchmark's validation: both solutions on one problem, batch after
+    # batch, priced as on a fresh copy; warm calls need no solve
+    problem, solutions = fixed_solutions
+    for seed in ([41, 1], [42, 1]):
+        paths = draw_paths(problem.uncertainty, 2000, seed)
+        for x1, gamma in solutions.values():
+            with pool_records() as records:
+                warm = scenario_costs(problem, paths, x1=x1)
+            assert_matches_oracle(warm, scenario_costs(copy.copy(problem), paths, x1=x1), gamma)
+            assert records[-1]["warm"] > 0 and records[-1]["rejected"] == 0
+    assert records[-1]["solves"] == 0
+
+
+def test_a_pickled_or_copied_problem_carries_no_pools():
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 100, [2, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    costs = scenario_costs(problem, paths, x1=x1)
+    assert problem.pools
+    for clone in (pickle.loads(pickle.dumps(problem)), copy.copy(problem), copy.deepcopy(problem)):
+        assert clone.pools == {}
+        with pool_records() as records:
+            np.testing.assert_allclose(scenario_costs(clone, paths, x1=x1), costs, rtol=1e-9)
+        assert records[-1]["warm"] == 0 and records[-1]["seeds"] == 1
+    assert problem.pools
+
+
+def test_pools_are_per_solver():
+    # the builtin simplex never prices on HiGHS's bases, nor HiGHS on its;
+    # a solver that reports no basis leaves HiGHS's pools pooling
+    problem = inventory_benchmark(3)
+    paths = draw_paths(problem.uncertainty, 200, [5, 1])
+    x1 = np.array([70.0, 70.0, 70.0])
+    with pool_records() as records:
+        highs = scenario_costs(problem, paths, "highs", x1=x1)
+        builtin = scenario_costs(problem, paths, "builtin", x1=x1)
+        bare = scenario_costs(problem, paths, lambda lp: replace(solve_highs(lp), basis=None),
+                              x1=x1)
+        again = scenario_costs(problem, paths, "highs", x1=x1)
+        builtin_again = scenario_costs(problem, paths, "builtin", x1=x1)
+    first, cold_builtin, no_bases, warm, warm_builtin = records
+    assert first["warm"] == cold_builtin["warm"] == no_bases["warm"] == 0
+    assert cold_builtin["seeds"] == 1 and no_bases["solved"] == 200
+    assert warm["warm"] == first["kept"] and warm["solves"] == 0 and warm["certified"] == 200
+    assert warm_builtin["warm"] == cold_builtin["kept"] and warm_builtin["solves"] == 0
+    assert len(problem.pools) == 3
+    assert get_solver("highs") in problem.pools and get_solver("builtin") in problem.pools
+    for costs in (builtin, bare, again, builtin_again):
+        np.testing.assert_allclose(costs, highs, rtol=1e-9)
+
+
 def test_a_batch_takes_one_solve():
     # 2000 paths at a fixed x1: the seed is the only solve; walks from its
     # basis find every other basis the batch needs
@@ -238,7 +320,8 @@ def test_debug_record_counts_an_infeasible_path(caplog):
     # entering column; its phase 1 seeds the second pool, which prices it
     # infeasible
     assert stats == {"paths": 40, "solved": 1, "certified": 39, "kept": 2, "rejected": 0,
-                     "solves": 2, "seeds": 2, "fallback": 0, "pivots": 1, "failed": {}}
+                     "solves": 2, "seeds": 2, "fallback": 0, "pivots": 1, "failed": {},
+                     "warm": 0}
     assert ("40 paths, 1 solved, 39 certified, 2 bases kept, 0 rejected, 2 solves "
             "(2 seeds, 0 fallback), 1 pivots") in caplog.records[-1].getMessage()
 

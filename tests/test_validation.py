@@ -137,6 +137,22 @@ def test_run_experiment_report_consistency(tmp_path):
     assert len(body) == 5
 
 
+@pytest.mark.parametrize("variant", ["continuous", "integer"])
+def test_a_rerun_on_the_same_problem_writes_the_same_csvs(variant, tmp_path):
+    # the second run prices on the basis pools the first one left on the
+    # problem, and must not read differently for it
+    problem = inventory_benchmark(5, variant)
+    texts = []
+    for run in ("first", "second"):
+        report = run_experiment(problem, [0.3, 0.1], 1e-3, 2, base_seed=7, n0=4, L=3,
+                                compute_bounds=True)
+        assert report.errors == []
+        texts.append({path.name: [line.rpartition(",")[0] if path.name.startswith("results")
+                                  else line for line in path.read_text().splitlines()]
+                      for path in report.write_csvs(tmp_path / run)})
+    assert texts[0] == texts[1]
+
+
 def test_run_experiment_records_failures():
     problem = inventory_benchmark(2)
     highs = get_solver("highs")

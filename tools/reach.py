@@ -10,10 +10,14 @@ harness's --paper-scale run does.  Each case runs in its own child process
 with BLAS pinned to one thread, so its peak RSS is its own.  A line holds
 the solve's seconds (drawing the paths excluded), the process's peak RSS,
 and the method, rounds, leaves, last master shape, cuts and dropped cuts
-(core method only) and value from the solve's DEBUG record.  With L it
-also holds the validation's seconds (drawing its paths included), the
-violation, and the solves, dual simplex pivots and fallback solves of the
-validation's scenario_costs record.
+(core method only) and value from the solve's DEBUG record.  With L the
+validation runs twice: cold, on a copy of the model that carries no basis
+pools, then warm, on the solved model, whose pools the solve filled, as
+in the harness.  For each the line holds its seconds (drawing its paths
+included; validation_cold_s and validation_s), and the solves, dual
+simplex pivots, fallback solves and warm bases (the bases its pools held
+at entry) of its scenario_costs record, under "cold" and at the top level,
+with the violation, which both runs share.
 
 Run from anywhere, with the swcopt under src/ beside this directory:
     python tools/reach.py integer:18838 integer:37676 continuous:18838:100
@@ -34,6 +38,7 @@ THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_case(variant: str, n: int, batches: int | None) -> dict:
+    import copy
     import logging
     import resource
     import time
@@ -63,12 +68,19 @@ def run_case(variant: str, n: int, batches: int | None) -> dict:
             "cuts": stats["optimality_cuts"] + stats["feasibility_cuts"] if core else None,
             "dropped": stats["dropped"] if core else None, "value": value}
     if batches is not None:
-        t0 = time.perf_counter()
-        violation = empirical_violation(problem, x1, gamma, L=batches, N=n, seed=VALIDATION_STREAM)
-        pricing = [r.scenario_costs for r in records if hasattr(r, "scenario_costs")][-1]
-        line.update(L=batches, validation_s=round(time.perf_counter() - t0, 3),
-                    violation=violation, solves=pricing["solves"], pivots=pricing["pivots"],
-                    fallback=pricing["fallback"])
+        runs = []
+        for model in (copy.copy(problem), problem):  # a copy carries no pools
+            t0 = time.perf_counter()
+            violation = empirical_violation(model, x1, gamma, L=batches, N=n,
+                                            seed=VALIDATION_STREAM)
+            seconds = round(time.perf_counter() - t0, 3)
+            pricing = [r.scenario_costs for r in records if hasattr(r, "scenario_costs")][-1]
+            runs.append({"validation_s": seconds, "violation": violation,
+                         **{k: pricing[k] for k in ("solves", "pivots", "fallback", "warm")}})
+        cold, warm = runs
+        if cold.pop("violation") != warm["violation"]:
+            raise RuntimeError("cold and warm validation disagree")
+        line.update(L=batches, validation_cold_s=cold.pop("validation_s"), cold=cold, **warm)
     line["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return line
 
