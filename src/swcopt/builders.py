@@ -38,7 +38,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .model import (EQ, GE, LE, DiscreteSupport, MultistageRobustLP, ScenarioPat
                     UncertaintySet, validate)
 from .sampling import ScenarioPrefixTree, build_prefix_tree
 
-DEFAULT_LEAF_CAP = 4096
+LEAF_CAP = 4096  # most leaves of a vertex tree
 
 EXACT_MODES = ("ro", "rws", "rt")
 
@@ -60,7 +60,6 @@ POOL_TOL = 1e-9  # relative tolerance of the basis pool's checks
 FIRST_LEAVES = 8  # leaves in _solve_grouping's first master
 ADD_LEAVES = 20  # most violated leaves added to the working set per round
 LEAF_TOL = 1e-9  # absolute budget excess at which a leaf counts as violated
-POOL_KINDS = ("optimal", "phase1")  # _path_costs' basis pools
 PRICING_SUMS = ("solved", "certified", "pivots", "fallback", "warm")  # summed by solve_swc
 
 log = logging.getLogger(__name__)
@@ -275,31 +274,6 @@ def _separable_blocks(
     return lp.build(), c0, int(col_off[-1])
 
 
-def _elastic(lp: LPInstance) -> LPInstance:
-    """Phase 1 of lp with elastic rows: minimise the sum of nonnegative
-    slacks that relax every row (-e in a <= row, +e in a >= row, both in an
-    = row) over lp's columns and bounds.  It is feasible for every
-    right-hand side, and its value is 0 exactly where lp is feasible."""
-    rows = np.concatenate([np.flatnonzero(lp.senses != LE), np.flatnonzero(lp.senses != GE)])
-    k = rows.size
-    r = np.concatenate([np.repeat(np.arange(lp.nrows), np.diff(lp.indptr)), rows])
-    c = np.concatenate([lp.indices, lp.ncols + np.arange(k)])
-    v = np.concatenate([lp.data,
-                        np.where(np.arange(k) < np.count_nonzero(lp.senses != LE), 1.0, -1.0)])
-    order = np.lexsort((c, r))
-    return LPInstance(
-        ncols=lp.ncols + k,
-        lower=np.concatenate([lp.lower, np.zeros(k)]),
-        upper=np.concatenate([lp.upper, np.full(k, np.inf)]),
-        obj=np.concatenate([np.zeros(lp.ncols), np.ones(k)]),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(r, minlength=lp.nrows))]),
-        indices=c[order],
-        data=v[order],
-        senses=lp.senses,
-        rhs=lp.rhs,
-    )
-
-
 def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
                    x1: np.ndarray | None = None) -> np.ndarray:
     """Optimal cost of every path's own LP; +inf where infeasible.
@@ -310,23 +284,25 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     When T, W and c of stages 2..H are constant, the paths' LPs differ only
     in their right-hand sides b(xi), and most paths are priced without a
     solve on a pool of optimal bases (_BasisPool).  The pools belong to the
-    problem (MultistageRobustLP.pools), one pair per solver and per LP (the
+    problem (MultistageRobustLP.pools), one per solver and per LP (the
     whole LP without x1, the recourse LP with it), and last as long as it:
     every pricing call on the problem, this one and those of
     solve_swc_paths, sws_value and swct_value, first prices its paths on
-    the bases earlier calls found, so a warm call often needs no solve and
-    no walk.  While the pool holds no basis the solver is called on one
-    path to seed it (again on the next path while it still holds none).
-    Each pass then walks up to WALK_PATHS unresolved paths from the seed by
-    dual simplex pivots to bases that price them, adds those bases to the
-    pool, and prices every unresolved path on them.  A path whose walk
-    proves it infeasible is walked on a second pool, of bases of the
-    elastic phase 1 (_elastic; seeded by one solve of its phase 1), where
-    a positive value makes the path infeasible without a solve.  A walk
-    that takes more than WALK_PIVOTS pivots, or whose basis the pool
-    refuses, leaves its path to a one-path solve (a fallback).  Once the
-    pool refuses a basis the solver ended on, the call's unresolved paths
-    are solved in stacks, as below, not one solve per path.
+    the bases and rays earlier calls found, so a warm call often needs no
+    solve and no walk.  While the pool holds no basis the solver is called
+    on one path to seed it (again on the next path while it still holds
+    none); an infeasible seed path is seeded instead by its LP at b = 0,
+    which z = 0 satisfies.  Each pass then walks up to WALK_PATHS
+    unresolved paths (an infeasible seed path first) from the seed by dual
+    simplex pivots to bases that price them, adds those bases to the pool,
+    and prices every unresolved path on them.  A walk that ends on a row
+    with no entering column keeps that row's Farkas ray y in the pool, and
+    every path with y'b above its tolerance (_rhs_tol) is infeasible
+    without a solve.  A walk that
+    takes more than WALK_PIVOTS pivots, or whose basis the pool refuses,
+    leaves its path to a one-path solve (a fallback).  Once the pool
+    refuses a basis the solver ended on, the call's unresolved paths are
+    solved in stacks, as below, not one solve per path.
 
     Other models, and solvers that report no basis (the external one),
     solve every path in block-diagonal stacks (the blocks are independent,
@@ -336,24 +312,24 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     unbounded; SolverError on an iteration limit).
 
     Each call logs one DEBUG record on the "swcopt.builders" logger: paths,
-    paths solved and certified, the bases its pools hold at the end (kept)
-    and those the call rejected, LP solves (of them seeds and fallbacks),
-    dual simplex pivots, the paths whose own one-path solve was not
-    optimal, by status, and the bases the pools held when the call began,
-    warm (also as the record's `scenario_costs` dict).
+    paths solved and certified, the bases and rays its pool holds at the
+    end (kept, rays) and the bases the call rejected, LP solves (of them
+    seeds and fallbacks), dual simplex pivots, the paths whose own one-path
+    solve was not optimal, by status, and the bases the pool held when the
+    call began, warm (also as the record's `scenario_costs` dict).
     """
     cost = _path_costs(problem, ScenarioPaths.of(paths), get_solver(solver), x1)[0]
     return cost + (0.0 if x1 is None else float(problem.c1 @ x1))
 
 
 def _pools(problem: MultistageRobustLP, solve, s: int | None) -> dict:
-    """The problem's basis pools for the solver and the per-path LP whose
+    """The problem's basis pool for the solver and the per-path LP whose
     first decision stage is s (None for the whole LP, with stage 1): a dict
-    of POOL_KINDS -> _BasisPool, and "bases": False once one of the solver's
-    optimal results on the LP carried no basis.  The LPs of one s differ
-    only in b(xi, state) when T, W and c are constant, so their pools serve
-    every later call; each solver keeps its own, so no solver prices on
-    another's bases."""
+    with "optimal" -> _BasisPool once a basis was offered, and "bases":
+    False once one of the solver's optimal results on the LP carried no
+    basis.  The LPs of one s differ only in b(xi, state) when T, W and c
+    are constant, so their pool serves every later call; each solver keeps
+    its own, so no solver prices on another's bases."""
     return problem.pools.setdefault(solve, {}).setdefault(s, {})
 
 
@@ -368,25 +344,28 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     has no optimal solution), the call's statistics, and whether the pool
     could run: T, W and c are constant and every optimal solve had a basis.
 
-    The pools are the problem's for the solver and this LP (_pools), so
-    the call first prices every path on the bases earlier calls left there
-    and walks from their seed without a solve.  In pooled mode the solver
-    sees one path at a time: a seed while the "optimal" pool holds no
-    basis, or a fallback after a walk.  An infeasible seed's phase 1 is
-    walked on (or seeds) the "phase1" pool, so that _solve_core has its
-    feasibility cut.  After a refused solver basis the rest of the call
-    goes to the stacks of non-pooled mode; the returned flag does not
-    change.  An optimal solve without a basis is recorded in the pools
-    ("bases": False), so that later calls with the solver stack the most
-    paths from their first solve."""
+    The pool is the problem's for the solver and this LP (_pools), so the
+    call first prices every path on the bases and rays earlier calls left
+    there and walks from their seed without a solve.  In pooled mode the
+    solver sees one path at a time: a seed while the pool holds no basis
+    (and its LP at b = 0 when that path is infeasible), or a fallback after
+    a walk.  Each unresolved path is priced on the pool's bases and then
+    tested against its rays, each new basis or ray once.  An infeasible
+    seed path is walked from the b = 0 basis in the first pass, with the
+    other paths, so that its ray is in the pool for _solve_core's
+    feasibility cut.  After a refused solver
+    basis the rest of the call goes to the stacks of non-pooled mode; the
+    returned flag does not change.  An optimal solve without a basis is
+    recorded in the pools ("bases": False), so that later calls with the
+    solver stack the most paths from their first solve."""
     first = 1 if state is None else s
     rows_per = sum(problem.dims.m[first - 1:])
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
     pools = _pools(problem, solve, None if state is None else s)
-    warm = sum(len(pools[k].duals) for k in POOL_KINDS if k in pools)
-    rejected0 = sum(pools[k].rejected for k in POOL_KINDS if k in pools)
+    pool0 = pools.get("optimal")
+    warm, rejected0 = (0, 0) if pool0 is None else (len(pool0.duals), pool0.rejected)
     constant = rows_per > 0 and _recourse_is_constant(problem)
-    marks = {}  # bases of each pool that every unresolved path has been priced on
+    marks = [0, 0]  # the pool's bases and rays that every unresolved path has been priced on
     done = np.zeros(len(paths), bool)
     out = np.empty(len(paths))
     sol = np.zeros((len(paths), sum(problem.dims.n[first - 1:]))) if recourse else None
@@ -423,66 +402,49 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
             raise SolverError(f"scenario solve ended with {res.status.value}")
         return lp, res
 
-    def offer(kind: str, lp: LPInstance, res: SolveResult, i: int, cost: float) -> None:
+    def offer(lp: LPInstance, res: SolveResult, cost: float) -> None:
+        """Offer the basis of the solver's result on the one-path LP lp."""
         nonlocal refused
-        if kind not in pools:
-            pools[kind] = _BasisPool(lp)
-        refused |= not pools[kind].offer(pools[kind].local(res.basis), rhs(np.array([i]))[0], cost)
-
-    def phase1(idx: np.ndarray, lp: LPInstance | None = None) -> None:
-        """Walk the infeasible paths idx on the phase-1 pool, seeding it by
-        solving path idx[0]'s phase 1 while it holds no basis."""
-        if not ready("phase1"):
-            elastic = _elastic(lp if lp is not None else one_lp(idx[0]))
-            res = solve(elastic)
-            count["solves"] += 1
-            count["seeds"] += 1
-            if res.status is Status.OPTIMAL and res.basis is None:
-                pools["bases"] = False
-            elif res.status is Status.OPTIMAL:
-                offer("phase1", elastic, res, idx[0], res.objective)
-        if pooled() and ready("phase1"):
-            count["pivots"] += pools["phase1"].grow(rhs(idx))[1]
-
-    def one_lp(i: int) -> LPInstance:
-        return _separable_blocks(problem, ScenarioPaths(paths.values[i : i + 1], paths.widths),
-                                 _state_rows(state, [i]), s)[0]
+        if "optimal" not in pools:
+            pools["optimal"] = _BasisPool(lp)
+        pool = pools["optimal"]
+        refused |= not pool.offer(pool.local(res.basis), lp.rhs, cost)
 
     def recheck() -> None:
-        for kind in POOL_KINDS:
-            pool = pools.get(kind)
-            if pool is not None and len(pool.duals) > marks.get(kind, 0):
-                _certify(problem, paths, state, s, pool, marks.get(kind, 0), np.flatnonzero(~done),
-                         out, sol, done, kind == "phase1")
-                marks[kind] = len(pool.duals)
+        pool = pools.get("optimal")
+        if pool is not None and marks != [len(pool.duals), len(pool.rays)]:
+            _certify(problem, paths, state, s, pool, *marks, np.flatnonzero(~done), out, sol,
+                     done)
+            marks[:] = len(pool.duals), len(pool.rays)
 
-    def ready(kind: str) -> bool:
-        return kind in pools and bool(pools[kind].duals)
+    def ready() -> bool:
+        return "optimal" in pools and bool(pools["optimal"].duals)
 
     def pooled() -> bool:
         return constant and pools.get("bases", True)
 
     if pooled():
-        recheck()  # bases kept by earlier calls
+        recheck()  # bases and rays kept by earlier calls
     while pooled() and not refused and (todo := np.flatnonzero(~done)).size:
-        if not ready("optimal"):
-            if ready("phase1"):  # walks there certify infeasible paths without a seed
-                phase1(todo[:WALK_PATHS])
-                recheck()
-                if (todo := todo[~done[todo]]).size == 0:
-                    continue
+        if not ready():
             lp, res = run(todo[:1])
             count["seeds"] += 1
-            if res.status is Status.OPTIMAL and res.basis is not None:
-                offer("optimal", lp, res, todo[0], out[todo[0]])
-            elif res.status is Status.INFEASIBLE:
-                phase1(todo[:1], lp)
-            continue  # walk before pricing, so the first pricing pass has the walks' bases
-        walked = todo[:WALK_PATHS]
-        farkas, pivots = pools["optimal"].grow(rhs(walked))
-        count["pivots"] += pivots
-        if farkas.any():
-            phase1(walked[farkas])
+            infeasible = res.status is Status.INFEASIBLE
+            if infeasible:
+                # z = 0 is feasible at b = 0, and an optimal basis there is dual
+                # feasible for every b: walking from it finds the path's ray
+                lp = replace(lp, rhs=np.zeros(lp.nrows))
+                res = solve(lp)
+                count["solves"] += 1
+                count["seeds"] += 1
+            if res.status is Status.OPTIMAL and res.basis is None:
+                pools["bases"] = False
+            elif res.status is Status.OPTIMAL:
+                offer(lp, res, res.objective if infeasible else out[todo[0]])
+            if not (infeasible and ready()):
+                continue  # walk before pricing, so the first pricing pass has the walks' bases
+        walked = todo[:WALK_PATHS]  # an infeasible seed path among them, for its ray
+        count["pivots"] += pools["optimal"].grow(rhs(walked))
         recheck()
         for i in walked[~done[walked]].tolist():
             if refused:
@@ -490,7 +452,7 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
             lp, res = run(np.array([i]))
             count["fallback"] += 1
             if res.status is Status.OPTIMAL and res.basis is not None:
-                offer("optimal", lp, res, i, out[i])
+                offer(lp, res, out[i])
     todo = np.flatnonzero(~done)
     for lo in range(0, todo.size, per_chunk):
         pending = [todo[lo : lo + per_chunk]]
@@ -498,16 +460,18 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
             idx = pending.pop()
             if run(idx)[1].status is not Status.OPTIMAL and idx.size > 1:
                 pending += [idx[idx.size // 2:], idx[: idx.size // 2]]
+    pool = pools.get("optimal")
     stats = {"paths": len(paths), "solved": count["solved"],
              "certified": len(paths) - count["solved"],
-             "kept": sum(len(pools[k].duals) for k in POOL_KINDS if k in pools),
-             "rejected": sum(pools[k].rejected for k in POOL_KINDS if k in pools) - rejected0,
+             "kept": 0 if pool is None else len(pool.duals),
+             "rays": 0 if pool is None else len(pool.rays),
+             "rejected": 0 if pool is None else pool.rejected - rejected0,
              "solves": count["solves"], "seeds": count["seeds"], "fallback": count["fallback"],
              "pivots": count["pivots"], "failed": dict(failed), "warm": warm}
     log.debug("scenario_costs: %(paths)d paths, %(solved)d solved, %(certified)d certified, "
-              "%(kept)d bases kept, %(rejected)d rejected, %(solves)d solves (%(seeds)d seeds, "
-              "%(fallback)d fallback), %(pivots)d pivots, failed paths %(failed)s, "
-              "%(warm)d bases warm",
+              "%(kept)d bases kept, %(rays)d rays, %(rejected)d rejected, %(solves)d solves "
+              "(%(seeds)d seeds, %(fallback)d fallback), %(pivots)d pivots, failed paths "
+              "%(failed)s, %(warm)d bases warm",
               stats, extra={"scenario_costs": stats})
     return out, sol, stats, pooled()
 
@@ -527,28 +491,27 @@ def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, state: np.ndarray | No
     return np.hstack(parts)
 
 
-def _certify(problem, paths, state, s, pool: "_BasisPool", first: int, todo: np.ndarray,
-             out: np.ndarray, sol: np.ndarray | None, done: np.ndarray,
-             phase1: bool = False) -> None:
+def _certify(problem, paths, state, s, pool: "_BasisPool", first: int, first_ray: int,
+             todo: np.ndarray, out: np.ndarray, sol: np.ndarray | None, done: np.ndarray) -> None:
     """Price the unresolved paths todo on the pool's bases from `first` on,
-    CERTIFY_BLOCK paths at a time, and mark the priced ones done.  On the
-    optimality pool a priced path gets its cost in out (and, unless sol is
-    None, its basic solution in sol); on the phase-1 pool only a path with
-    a positive phase-1 value counts, and it gets cost +inf."""
+    and test the rest against its rays from `first_ray` on, CERTIFY_BLOCK
+    paths at a time; mark the priced and separated ones done.  A priced
+    path gets its cost in out (and, unless sol is None, its basic solution
+    in sol), a path that a ray y separates (y'b above the tolerance) cost
+    +inf."""
+    rays = np.array(pool.rays[first_ray:]).reshape(-1, pool.m)
     for lo in range(0, todo.size, CERTIFY_BLOCK):
         idx = todo[lo : lo + CERTIFY_BLOCK]
         B = _path_rhs(problem, paths.values[idx], _state_rows(state, idx), s)
         tol = _rhs_tol(B)
         which, cost = pool.price(B, tol, first)
         priced = which >= 0
-        if phase1:
-            priced &= cost > tol
-            out[idx[priced]] = np.inf
-        else:
-            out[idx[priced]] = cost[priced]
-            if sol is not None:
-                sol[idx[priced]] = pool.solutions(B[priced], which[priced])
-        done[idx[priced]] = True
+        out[idx[priced]] = cost[priced]
+        if sol is not None:
+            sol[idx[priced]] = pool.solutions(B[priced], which[priced])
+        infeasible = ~priced & np.any(B @ rays.T > tol[:, None], axis=1)
+        out[idx[infeasible]] = np.inf
+        done[idx[priced | infeasible]] = True
 
 
 def _rhs_tol(B: np.ndarray) -> np.ndarray:
@@ -568,13 +531,20 @@ class _BasisPool:
     B^-1 b >= 0 on its bounded basic variables and = 0 on its fixed ones
     (its critical region), with cost y'b and basic solution z_B = B^-1 b.
     The first basis (the seed) is the one a solver ends on for one path
-    (SolveResult.basis).  Since c and A do not change, every pooled basis
-    is dual feasible for every b, so a path outside the pool's regions is
-    a few dual simplex pivots away from the seed (grow).  A basis joins
-    the pool only if B is square with a condition number of at most
-    1/POOL_TOL, y is dual feasible, b lies in the region and, for a
-    solver's basis, y'b reproduces its own path's cost, each within the
-    relative tolerance POOL_TOL."""
+    (SolveResult.basis), or for that path's LP at b = 0 when the path is
+    infeasible (z = 0 is feasible there, so its optimum is 0 when the LP
+    is bounded).  Since c and A do not change, every pooled basis is dual
+    feasible for every b, so a path outside the pool's regions is a few
+    dual simplex pivots away from the seed (grow).  A basis joins the pool
+    only if B is square with a condition number of at most 1/POOL_TOL, y
+    is dual feasible, b lies in the region and, for a solver's basis, y'b
+    reproduces its own path's cost, each within the relative tolerance
+    POOL_TOL.
+
+    A walk that ends on a row with no entering column leaves a Farkas ray
+    in the pool (rays): y with y'A <= 0 on the bounded columns and y'A = 0
+    on the free ones (within POOL_TOL), so that y'b > 0 holds for no
+    feasible b, and y'b above b's tolerance proves b infeasible."""
 
     def __init__(self, lp: LPInstance):
         self.A = np.hstack([lp._csr().toarray(), np.diag(np.where(lp.senses == GE, -1.0, 1.0))])
@@ -591,6 +561,7 @@ class _BasisPool:
         self.duals: list[np.ndarray] = []     # y = c_B B^-1
         self.primal: list[tuple[np.ndarray, np.ndarray]] = []  # LP basic columns, their B^-1 rows
         self.hits: list[int] = []            # paths each basis has priced
+        self.rays: list[np.ndarray] = []      # Farkas rays y over the rows, found by walks
         self.rejected = 0
 
     def local(self, basis: np.ndarray) -> np.ndarray:
@@ -652,23 +623,23 @@ class _BasisPool:
         self.primal.append((basis[basis < self.n], Binv[basis < self.n]))
         return True
 
-    def grow(self, B: np.ndarray) -> tuple[np.ndarray, int]:
+    def grow(self, B: np.ndarray) -> int:
         """Walk each right-hand side of B (K, m) from the seed by dual
         simplex pivots until its basis is primal feasible, and offer each
         new basis a walk ends on.  The leaving variable is the violated
         basic one of smallest index (Bland), the entering column the dual
         ratio test's (smallest index on ties); walks on the same basis and
-        row share one pivot.  A walk also ends on a row with no entering
-        column, a Farkas certificate that its b is infeasible, or after
-        WALK_PIVOTS pivots.  Intermediate bases are not kept.  Returns
-        which rows of B are infeasible, and the pivots taken."""
+        row share one pivot.  A walk also ends on a row r with no entering
+        column, whose ray sign * B^-1[r] (sign that of the violation) joins
+        rays, or after WALK_PIVOTS pivots.  Intermediate bases are not
+        kept.  Returns the pivots taken."""
         tol = _rhs_tol(B)
         bases, binvs = [self.bases[0]], [self.seed]
         index = {bases[0].tobytes(): 0}
         moves = {}  # (basis, leaving position, direction) -> next basis, -1 for a Farkas row
         at = np.zeros(len(B), np.int64)
         steps = np.zeros(len(B), np.int64)
-        live, farkas = np.ones(len(B), bool), np.zeros(len(B), bool)
+        live = np.ones(len(B), bool)
         ends = {}  # basis a walk ended on -> one of its right-hand sides
         while live.any():
             for k in np.unique(at[live]).tolist():
@@ -687,14 +658,16 @@ class _BasisPool:
                     key = (k, row, sgn)
                     if key not in moves:
                         step = self._pivot(basis, binvs[k], row, sgn)
-                        if step is not None and step[0].tobytes() not in index:
+                        if step is None:
+                            self.rays.append(sgn * binvs[k][row])
+                        elif step[0].tobytes() not in index:
                             index[step[0].tobytes()] = len(bases)
                             bases.append(step[0])
                             binvs.append(step[1])
                         moves[key] = -1 if step is None else index[step[0].tobytes()]
                     sel = w[(r == row) & (sign == sgn)]
                     if moves[key] < 0:
-                        farkas[sel], live[sel] = True, False
+                        live[sel] = False
                     else:
                         at[sel], steps[sel] = moves[key], steps[sel] + 1
             live &= steps <= WALK_PIVOTS
@@ -702,7 +675,7 @@ class _BasisPool:
         for k, i in ends.items():
             if bases[k].tobytes() not in pooled:
                 self.offer(bases[k], B[i])
-        return farkas, sum(nxt >= 0 for nxt in moves.values())
+        return sum(nxt >= 0 for nxt in moves.values())
 
     def _pivot(self, basis: np.ndarray, Binv: np.ndarray, r: int,
                sign: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -768,13 +741,13 @@ def relaxed_grouping(paths) -> ScenarioPrefixTree:
                               (np.arange(len(full)),) * S)
 
 
-def vertex_paths(uncertainty: UncertaintySet, leaf_cap: int = DEFAULT_LEAF_CAP) -> ScenarioPaths:
+def vertex_paths(uncertainty: UncertaintySet) -> ScenarioPaths:
     """Cartesian product of per-stage support vertices, in itertools.product
-    order (the last stage varies fastest)."""
+    order (the last stage varies fastest); ValueError above LEAF_CAP paths."""
     per_stage = [np.stack(uncertainty.vertices(t)) for t in range(1, uncertainty.n_stages + 1)]
     total = math.prod(len(v) for v in per_stage)
-    if total > leaf_cap:
-        raise ValueError(f"vertex tree has {total} leaves, above the cap {leaf_cap}")
+    if total > LEAF_CAP:
+        raise ValueError(f"vertex tree has {total} leaves, above the cap {LEAF_CAP}")
     combos = np.indices([len(v) for v in per_stage]).reshape(len(per_stage), total)
     return ScenarioPaths(np.hstack([v[k] for v, k in zip(per_stage, combos)]),
                          tuple(v.shape[1] for v in per_stage))
@@ -784,7 +757,6 @@ def exact_value(
     problem: MultistageRobustLP,
     mode: str,
     solver="highs",
-    leaf_cap: int = DEFAULT_LEAF_CAP,
 ) -> float:
     """Vertex-tree reference value.
 
@@ -803,7 +775,7 @@ def exact_value(
             or all(isinstance(s, DiscreteSupport) for s in problem.uncertainty.stages)):
         raise ValueError("exact references need worst cases at support vertices: T, W and c "
                          "must be constant unless every support is discrete")
-    paths = vertex_paths(problem.uncertainty, leaf_cap)
+    paths = vertex_paths(problem.uncertainty)
     if mode == "rws":
         value, _ = sws_value(problem, paths, solver)
         return value
@@ -898,8 +870,8 @@ def _generate(problem: MultistageRobustLP, tree: ScenarioPrefixTree,
     LEAF_TOL) until none is.  The leaves' recourse LPs share A and c in
     every round, only b(xi, x1) moving with x1, and with every other
     pricing call on the problem at a fixed x1 (validation among them): all
-    price on the problem's pair of basis pools for that LP (_pools).  So a
-    round prices on the bases of earlier rounds and calls and walks from
+    price on the problem's basis pool for that LP (_pools).  So a round
+    prices on the bases and rays of earlier rounds and calls and walks from
     their seed without a solve, and a solver that reports no basis gets the
     most leaves per stack once one call has seen that.  The master is a
     relaxation whose (x1, gamma) ends feasible for every leaf, so its value
@@ -969,16 +941,25 @@ def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: li
     return lp.build(), starts
 
 
-def _tail_duals(pool: "_BasisPool | None",
-                B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The pooled bases that price the right-hand sides B (K, m) of the
-    pool's LP, by index in the pool, and their optimal dual vectors; None
-    when there is no pool or a row is priced by none (its basis was
-    rejected, or never reported)."""
+def _tail_duals(pool: "_BasisPool | None", B: np.ndarray,
+                infeasible: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The duals of the right-hand sides B (K, m) of the pool's LP, with
+    their index in the pool: for feasible ones, those of the pooled basis
+    that prices each; for infeasible ones, the pooled ray y that separates
+    each the most (largest y'b, the first on a tie).  None when there is
+    no pool or a row has none (its basis was rejected or never reported,
+    or no ray separates it)."""
     if pool is None:
         return None
-    which, _ = pool.price(B, _rhs_tol(B))
-    return None if np.any(which < 0) else (which, np.asarray(pool.duals)[which])
+    if not infeasible:
+        which, _ = pool.price(B, _rhs_tol(B))
+        return None if np.any(which < 0) else (which, np.asarray(pool.duals)[which])
+    rays = np.array(pool.rays).reshape(-1, pool.m)
+    gap = B @ rays.T
+    if not rays.size or np.any(np.max(gap, axis=1) <= _rhs_tol(B)):
+        return None
+    which = np.argmax(gap, axis=1)
+    return which, rays[which]
 
 
 def _tightest(keys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -1007,20 +988,21 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     deepest core node, x1 when d = 0).  The tail LPs of one depth share A and
     c, with each other in every round and with every other pricing call on the
     problem whose LP starts at the same stage, so each depth prices on the
-    problem's pair of basis pools for that LP (_pools; at depth 0 those of
-    validation at a fixed x1, and the anticipative pass those of sws_value),
+    problem's basis pool for that LP (_pools; at depth 0 the one of
+    validation at a fixed x1, and the anticipative pass that of sws_value),
     and every dual vector y of a pooled basis gives Q(b) >= y'b for all b.
     Each round prices every tail at the master's point with scenario_costs'
     loop and adds, for each leaf over gamma by more than LEAF_TOL, the
     optimality cut y'b(xi, x_d) with y the duals of the pooled basis that
     prices it, and for each infeasible tail the feasibility cut sigma'b(xi,
-    x_d) <= 0 with sigma those of a pooled basis of its elastic phase 1.  The
+    x_d) <= 0 with sigma the pool's Farkas ray that separates it the most
+    (_tail_duals): sigma'b <= 0 holds wherever the tail is feasible.  The
     bound gamma >= max over leaves of the anticipative optimum keeps the first
     masters bounded.
 
     Within a round, the new cuts of one kind from leaves with the same
     deepest core node have the same columns, and those priced on the same
-    pooled basis the same duals, so the same coefficients: they differ
+    pooled basis or ray the same duals, so the same coefficients: they differ
     only in their right-hand sides y'h(xi), and the one with the smallest
     implies the rest.  The round adds that one of each group (_tightest)
     and counts the others as dropped.  The master after the round has the
@@ -1034,7 +1016,8 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
     master and every other node's block from its leaf's tail solution.
     Gives up, for the caller to solve the whole LP, and returns why:
     "unbounded tail", "no pooled dual" when no pooled basis prices a tail
-    that needs a cut (_tail_duals) or the anticipative pass saw no basis,
+    that needs a cut, or no pooled ray separates an infeasible one
+    (_tail_duals), or the anticipative pass saw no basis,
     or "repeated feasibility cut" when an infeasible tail only repeats a
     cut the master already holds."""
     t0 = time.perf_counter()
@@ -1080,17 +1063,18 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                 return "unbounded tail"
             tails.append(Z)
             over = np.flatnonzero(np.isfinite(cost) & (res.x[cols] @ coef + cost > LEAF_TOL))
-            for kind, idx in (("optimal", over), ("phase1", np.flatnonzero(cost == np.inf))):
+            for kind, idx in (("optimal", over), ("feasibility", np.flatnonzero(cost == np.inf))):
                 if not idx.size:
                     continue
-                found = _tail_duals(_pools(problem, solve, s).get(kind),
-                                    _path_rhs(problem, X[idx], state[idx], s))
+                found = _tail_duals(_pools(problem, solve, s).get("optimal"),
+                                    _path_rhs(problem, X[idx], state[idx], s),
+                                    kind == "feasibility")
                 if found is None:
                     return "no pooled dual"
                 which, Y = found
                 new = np.array([(kind, i, y.tobytes()) not in seen
                                 for i, y in zip(g[idx].tolist(), Y)], dtype=bool)
-                if kind == "phase1" and not new.all():
+                if kind == "feasibility" and not new.all():
                     # the master holds this cut already, within its tolerance
                     return "repeated feasibility cut"
                 idx, which, Y = idx[new], which[new], Y[new]
@@ -1098,7 +1082,7 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                     continue
                 rhs = -np.sum(Y * _path_rhs(problem, X[idx], np.zeros((idx.size, ns)), s), axis=1)
                 # one deepest core node (so the same columns) and one pooled
-                # basis (so the same duals): the same coefficients
+                # basis or ray (so the same duals): the same coefficients
                 node = anc[d - 1][g[idx]] if d else np.zeros(idx.size, np.int64)
                 keep = _tightest(np.column_stack([node, which]), rhs)
                 counts["dropped"] += idx.size - keep.size
@@ -1135,7 +1119,7 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                     "rows": lp.nrows, "cols": lp.ncols, "iterations": iterations,
                     "master_iterations": master_iterations,
                     "core": [int(c.sum()) for c in core],
-                    "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["phase1"],
+                    "optimality_cuts": counts["optimal"], "feasibility_cuts": counts["feasibility"],
                     "dropped": counts["dropped"], "solved": counts["solved"],
                     "certified": counts["certified"], "pivots": counts["pivots"],
                     "fallback_solves": counts["fallback"], "warm": counts["warm"]}

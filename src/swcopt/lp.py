@@ -330,9 +330,11 @@ SolverFn = Callable[[LPInstance], SolveResult]
 class GrowingLP:
     """An LP that gains <= rows between solves, as an L-shaped master gains
     cuts.  With solve_highs it keeps one HiGHS model: the rows go to it by
-    addRows, and each solve restarts HiGHS from its last basis, so the dual
-    simplex only works off the rows added since; a warm run that does not
-    end optimal is repeated cold, and the cold run's result is returned.
+    addRows, and a solve after an optimal one restarts HiGHS from its last
+    basis, so the dual simplex only works off the rows added since; a warm
+    run that does not end optimal is repeated cold, and the cold run's
+    result is returned.  Every other run is cold: HiGHS's state after a
+    run that was not optimal can make a warm run report a wrong optimum.
     With any other solver each solve solves the LP with every row added so
     far.  The first solve is the solver's solve of the LP as given either
     way."""
@@ -341,7 +343,7 @@ class GrowingLP:
         self._lp, self._solve, self._rows = lp, solve, []
         # compared at call time, so a solve_highs wrapped in place keeps this route
         self._highs = _load_highs(lp) if solve is solve_highs else None
-        self._warm = False  # whether HiGHS has a last basis to restart from
+        self._warm = False  # whether HiGHS's last run ended optimal, a basis to restart from
         self.nrows, self.ncols = lp.nrows, lp.ncols
 
     def add_rows(self, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> None:
@@ -382,11 +384,13 @@ class GrowingLP:
                     return res
             except SolverError:
                 pass
-            # a warm run can end wrong or in an unknown state after a solve
-            # that was not optimal, so a cold run decides any other outcome
-            highs.clearSolver()
-        self._warm = True
-        return _run_highs(highs, loaded)
+        # a cold run decides a warm run's other outcomes, and every run after
+        # one that was not optimal
+        highs.clearSolver()
+        self._warm = False
+        res = _run_highs(highs, loaded)
+        self._warm = res.status is Status.OPTIMAL
+        return res
 
 
 def get_solver(spec: "str | SolverFn | None" = None) -> SolverFn:

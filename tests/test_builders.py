@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import nested_minmax_value, random_discrete_problem
+from swcopt import builders
 from swcopt.builders import (
     build_deterministic,
     build_swc,
@@ -178,10 +179,11 @@ def test_degenerate_box_collapses_all_modes():
         assert exact_value(problem, mode) == pytest.approx(det, abs=1e-7)
 
 
-def test_leaf_cap_enforced():
+def test_leaf_cap_enforced(monkeypatch):
+    monkeypatch.setattr(builders, "LEAF_CAP", 8)
     problem = inventory_benchmark(5)
-    with pytest.raises(ValueError, match="cap"):
-        exact_value(problem, "ro", leaf_cap=8)
+    with pytest.raises(ValueError, match="above the cap 8"):
+        exact_value(problem, "ro")
 
 
 def test_exact_value_checks_the_vertex_assumption():
@@ -249,10 +251,17 @@ def _scripted_solver(statuses, bases=True):
     return solve, seen
 
 
+def assert_zero_rhs_of(zero, lp):
+    """zero is lp with every right-hand side 0."""
+    assert not zero.rhs.any()
+    for field in ("ncols", "lower", "upper", "obj", "indptr", "indices", "data", "senses"):
+        assert np.array_equal(getattr(zero, field), getattr(lp, field))
+
+
 def test_scenario_costs_bisects_a_nonoptimal_stack():
     # a solver that reports no basis: path 0 alone (the seed) is optimal
     # without one, so the other paths go to one stack, which is split in
-    # halves when it is not optimal; no phase 1 is solved
+    # halves when it is not optimal; no LP at b = 0 is solved
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
     x1 = np.array([50.0, 60.0, 0.0])
@@ -268,7 +277,7 @@ def test_scenario_costs_bisects_a_nonoptimal_stack():
 
 def test_scenario_costs_stacks_the_rest_after_a_refused_basis():
     # with bases, path 0 is solved alone (the seed).  It is infeasible, so
-    # its elastic phase 1 (one more column per <= or >= row, two per = row)
+    # its LP at b = 0 (the same matrix and costs, every right-hand side 0)
     # is solved; the stub's all-slack basis gives y'b = 0, not the stub's
     # value 5, and is refused.  So the other paths go to one stack, which
     # is split in halves when it is not optimal, as without bases
@@ -281,16 +290,14 @@ def test_scenario_costs_stacks_the_rest_after_a_refused_basis():
     assert costs.tolist() == [np.inf, -np.inf, float(problem.c1 @ x1)]
     rows = seen[0].nrows
     assert [lp.nrows for lp in seen] == [rows, rows, 2 * rows, rows, rows]
-    elastic = sum(2 if s == "=" else 1 for s in seen[0].senses)
-    assert seen[1].ncols == seen[0].ncols + elastic
-    assert seen[1].obj.tolist() == [0.0] * seen[0].ncols + [1.0] * elastic
+    assert_zero_rhs_of(seen[1], seen[0])
     assert [lp.ncols for lp in seen[2:]] == [2 * seen[0].ncols] + [seen[0].ncols] * 2
 
 
-def test_scenario_costs_solves_no_phase_1_after_a_solve_without_basis():
-    # path 0 (the seed) is infeasible and its phase 1 is optimal without a
-    # basis: the other paths go to one stack, split as above, and path 1's
-    # infeasibility gets no phase 1
+def test_scenario_costs_stacks_the_rest_after_a_seed_without_basis():
+    # path 0 (the seed) is infeasible and its LP at b = 0 is optimal without
+    # a basis: the other paths go to one stack, split as above, and path 1's
+    # infeasibility gets no LP at b = 0
     problem = inventory_benchmark(3)
     paths = draw_paths(problem.uncertainty, 3, seed=[1, 0])
     solve, seen = _scripted_solver([Status.INFEASIBLE, Status.OPTIMAL, Status.INFEASIBLE,
@@ -299,7 +306,8 @@ def test_scenario_costs_solves_no_phase_1_after_a_solve_without_basis():
     assert costs[0] == costs[1] == np.inf and costs[2] == -np.inf
     rows = seen[0].nrows
     assert [lp.nrows for lp in seen] == [rows, rows, 2 * rows, rows, rows]
-    assert seen[1].ncols > seen[0].ncols == seen[3].ncols
+    assert_zero_rhs_of(seen[1], seen[0])
+    assert seen[3].ncols == seen[0].ncols and seen[3].rhs.any()
 
 
 def test_scenario_costs_iteration_limit_is_a_solver_error():

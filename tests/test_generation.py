@@ -339,6 +339,18 @@ def test_random_shared_models_match_monolithic(seed, H, N, free, degenerate):
     assert_matches_monolithic(problem, paths, method=expected_method(build_prefix_tree(paths)))
 
 
+@pytest.mark.parametrize("k, counts", [(0, (181, 404, 4)), (1, (179, 393, 4)),
+                                       (2, (150, 404, 4))], ids=["3000", "3001", "3002"])
+def test_fresh_integer_solves_keep_their_cut_counts(k, counts):
+    # optimality cuts, feasibility cuts and rounds of the core method on a
+    # fresh problem, pinned; feasibility cuts from the pool's Farkas rays
+    # take as many as those from bases of an elastic phase 1 did
+    problem = inventory_benchmark(5, "integer")
+    paths = draw_paths(problem.uncertainty, 1884, [3000 + k, 0])
+    _, stats = assert_matches_monolithic(problem, paths, method="core")
+    assert (stats["optimality_cuts"], stats["feasibility_cuts"], stats["rounds"]) == counts
+
+
 def test_random_shared_models_meet_infeasible_tails():
     # four-stage random models on a dozen paths: several take the core
     # method with feasibility cuts

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from swcopt.builders import scenario_costs, solve_swc_paths, vertex_paths
+from swcopt import builders
+from swcopt.builders import POOL_TOL, scenario_costs, solve_swc_paths, vertex_paths
 from swcopt.complexity import sample_complexity
 from swcopt.inventory import BENCHMARK_N0, inventory_benchmark
 from swcopt.lp import SolveResult, Status, get_solver, solve_highs
@@ -317,13 +318,65 @@ def test_debug_record_counts_an_infeasible_path(caplog):
     stats = pool_record(caplog)
     # path 0 seeds the pool, whose basis prices every other feasible path.
     # The infeasible path's walk ends, after one pivot, on a row with no
-    # entering column; its phase 1 seeds the second pool, which prices it
+    # entering column, whose ray separates the path: no solve proves it
     # infeasible
-    assert stats == {"paths": 40, "solved": 1, "certified": 39, "kept": 2, "rejected": 0,
-                     "solves": 2, "seeds": 2, "fallback": 0, "pivots": 1, "failed": {},
-                     "warm": 0}
-    assert ("40 paths, 1 solved, 39 certified, 2 bases kept, 0 rejected, 2 solves "
-            "(2 seeds, 0 fallback), 1 pivots") in caplog.records[-1].getMessage()
+    assert stats == {"paths": 40, "solved": 1, "certified": 39, "kept": 1, "rays": 1,
+                     "rejected": 0, "solves": 1, "seeds": 1, "fallback": 0, "pivots": 1,
+                     "failed": {}, "warm": 0}
+    assert ("40 paths, 1 solved, 39 certified, 1 bases kept, 1 rays, 0 rejected, 1 solves "
+            "(1 seeds, 0 fallback), 1 pivots") in caplog.records[-1].getMessage()
+
+
+def assert_rays_are_farkas(problem, paths, x1, costs):
+    """Every ray y the pool of the call's LP keeps has y'A <= 0 on the
+    sign-constrained columns and y'A = 0 on the free ones (within
+    POOL_TOL), separates (y'b above its tolerance) at least one path the
+    call found infeasible, and separates no path it found feasible.
+    Returns the number of rays."""
+    pool = problem.pools[get_solver("highs")][None if x1 is None else 2]["optimal"]
+    B = builders._path_rhs(problem, paths.values, None if x1 is None else np.asarray(x1, float))
+    tol = builders._rhs_tol(B)
+    signed, free = pool.bounded & ~pool.fixed, ~pool.bounded & ~pool.fixed
+    for y in pool.rays:
+        a = y @ pool.A
+        assert np.all(a[signed] <= POOL_TOL) and np.all(np.abs(a[free]) <= POOL_TOL)
+        separated = B @ y > tol
+        assert separated[costs == np.inf].any() and np.all(costs[separated] == np.inf)
+    return len(pool.rays)
+
+
+@pytest.mark.parametrize("x1", [[0.0, 0.0, 0.0], [120.0, 94.0, 0.0], [200.0, 200.0, 200.0]],
+                         ids=["zero", "mixed", "high"])
+def test_an_all_infeasible_batch_takes_two_solves(x1):
+    # the seed path is infeasible, so its LP at b = 0 seeds the pool; the
+    # seed path's walk from that basis ends on a Farkas row whose ray
+    # separates every path of the batch
+    problem = inventory_benchmark(5)
+    paths = draw_paths(problem.uncertainty, 2000, [5, 1])
+    with pool_records() as records:
+        costs = scenario_costs(problem, paths, x1=np.array(x1))
+    assert np.all(costs == np.inf)
+    assert records[-1]["solves"] == records[-1]["seeds"] == 2 and records[-1]["fallback"] == 0
+    assert assert_rays_are_farkas(problem, paths, x1, costs) >= 1
+    head = ScenarioPaths(paths.values[:50], paths.widths)
+    assert np.all(oracles.scenario_costs(problem, head, x1=np.array(x1)) == np.inf)
+
+
+def test_rays_of_random_models_are_farkas_certificates():
+    # the sweep's models (tools/sweep.py) on their first 60 seeds, at x1
+    # free and at the perturbed x1, whose paths are often infeasible
+    rays = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        problem, x_bar = constant_recourse_problem(rng, int(rng.integers(2, 5)), bool(seed & 1),
+                                                   bool(seed & 2), bool(seed & 4))
+        perturbed = x_bar + rng.integers(-2, 3, x_bar.size)
+        paths = draw_paths(problem.uncertainty, 200, [seed, 1])
+        # a fresh pool for each LP, so every ray comes from these paths' walks
+        for x1 in (None, perturbed):
+            fresh = copy.copy(problem)
+            rays += assert_rays_are_farkas(fresh, paths, x1, scenario_costs(fresh, paths, x1=x1))
+    assert rays >= 40  # 52 when written
 
 
 def test_a_solver_without_bases_stacks_every_other_path_at_once(caplog):
@@ -346,19 +399,21 @@ def test_a_solver_without_bases_stacks_every_other_path_at_once(caplog):
     np.testing.assert_allclose(costs, scenario_costs(problem, paths, x1=x1), rtol=1e-9)
 
 
-def test_split_stacks_feed_both_pools(caplog):
-    # every tenth path is infeasible, path 0 among them: path 0's elastic
-    # phase 1 certifies every other infeasible path, and path 1's basis
-    # prices every feasible one.
+def test_an_infeasible_seed_path_feeds_bases_and_a_ray(caplog):
+    # every tenth path is infeasible, path 0 among them: path 0's LP at b = 0
+    # seeds the pool, path 0's walk from it finds a ray that separates every
+    # other infeasible path, and the other walks find the bases that price
+    # every feasible one.
     problem = infeasible_tail_problem()
     xi = np.resize([-1.0, 1.0, 2.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0], 2000)
     with caplog.at_level(logging.DEBUG, logger="swcopt.builders"):
         costs = scenario_costs(problem, ScenarioPaths(xi[:, None], (1,)), x1=np.array([0.5]))
     np.testing.assert_array_equal(costs, np.where(xi < 0, np.inf, xi))
     stats = pool_record(caplog)
-    # path 0, its phase 1 and path 1 seed the pools, and no walk needs a solve
-    assert stats["solves"] == stats["seeds"] == 3 and stats["fallback"] == 0
-    assert stats["solved"] == 2 and stats["certified"] == 1998
+    # path 0 and its LP at b = 0 seed the pool, and no walk needs a solve
+    assert stats["solves"] == stats["seeds"] == 2 and stats["fallback"] == 0
+    assert stats["rays"] == 1
+    assert stats["solved"] == 1 and stats["certified"] == 1999
     assert stats["failed"] == {"infeasible": 1} and stats["rejected"] == 0
 
 
@@ -375,9 +430,9 @@ def test_sparse_infeasible_paths_match_oracle(caplog):
     oracle = oracles.scenario_costs(problem, paths, x1=x1)
     assert np.count_nonzero(oracle == np.inf) == 10
     assert_matches_oracle(costs, oracle, 1.0)
-    # one solve seeds each pool: path 0's, and the phase 1 of the first
-    # path whose walk finds it infeasible
-    assert pool_record(caplog)["solves"] == 2
+    # path 0's solve seeds the pool; the walk of the first infeasible path
+    # finds a ray that separates every other one
+    assert pool_record(caplog)["solves"] == 1
 
 
 def test_zero_solutions_fail_the_self_check(caplog):
