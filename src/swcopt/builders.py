@@ -298,11 +298,11 @@ def scenario_costs(problem: MultistageRobustLP, paths, solver="highs",
     and prices every unresolved path on them.  A walk that ends on a row
     with no entering column keeps that row's Farkas ray y in the pool, and
     every path with y'b above its tolerance (_rhs_tol) is infeasible
-    without a solve.  A walk that
-    takes more than WALK_PIVOTS pivots, or whose basis the pool refuses,
-    leaves its path to a one-path solve (a fallback).  Once the pool
-    refuses a basis the solver ended on, the call's unresolved paths are
-    solved in stacks, as below, not one solve per path.
+    without a solve.  A walk that takes more than WALK_PIVOTS pivots, or
+    whose basis the pool refuses, leaves its path to a one-path solve (a
+    fallback).  Once the pool refuses a basis the solver ended on, the
+    call's unresolved paths are solved in stacks, as below, not one solve
+    per path.
 
     Other models, and solvers that report no basis (the external one),
     solve every path in block-diagonal stacks (the blocks are independent,
@@ -344,20 +344,14 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     has no optimal solution), the call's statistics, and whether the pool
     could run: T, W and c are constant and every optimal solve had a basis.
 
-    The pool is the problem's for the solver and this LP (_pools), so the
-    call first prices every path on the bases and rays earlier calls left
-    there and walks from their seed without a solve.  In pooled mode the
-    solver sees one path at a time: a seed while the pool holds no basis
-    (and its LP at b = 0 when that path is infeasible), or a fallback after
-    a walk.  Each unresolved path is priced on the pool's bases and then
-    tested against its rays, each new basis or ray once.  An infeasible
-    seed path is walked from the b = 0 basis in the first pass, with the
-    other paths, so that its ray is in the pool for _solve_core's
-    feasibility cut.  After a refused solver
-    basis the rest of the call goes to the stacks of non-pooled mode; the
-    returned flag does not change.  An optimal solve without a basis is
-    recorded in the pools ("bases": False), so that later calls with the
-    solver stack the most paths from their first solve."""
+    The pool is the problem's for the solver and this LP (_pools), used as
+    scenario_costs describes; each unresolved path is priced on each new
+    basis, and tested against each new ray, once (_certify).  An
+    infeasible seed path is walked in the first pass so that its ray is in
+    the pool for _solve_core's feasibility cut.  After a refused solver
+    basis the returned flag does not change.  An optimal solve without a
+    basis is recorded in the pools ("bases": False), so that later calls
+    with the solver stack the most paths from their first solve."""
     first = 1 if state is None else s
     rows_per = sum(problem.dims.m[first - 1:])
     per_chunk = max(1, CHUNK_ROWS // max(1, rows_per))
@@ -371,9 +365,6 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
     sol = np.zeros((len(paths), sum(problem.dims.n[first - 1:]))) if recourse else None
     failed, count = Counter(), Counter()
     refused = False  # the pool refused a solver's basis: stack the rest of the call
-
-    def rhs(idx: np.ndarray) -> np.ndarray:
-        return _path_rhs(problem, paths.values[idx], _state_rows(state, idx), s)
 
     def run(idx: np.ndarray) -> tuple[LPInstance, SolveResult]:
         """Solve the paths idx as one stack and record its costs, or a
@@ -444,7 +435,8 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
             if not (infeasible and ready()):
                 continue  # walk before pricing, so the first pricing pass has the walks' bases
         walked = todo[:WALK_PATHS]  # an infeasible seed path among them, for its ray
-        count["pivots"] += pools["optimal"].grow(rhs(walked))
+        B = _path_rhs(problem, paths.values[walked], _state_rows(state, walked), s)
+        count["pivots"] += pools["optimal"].grow(B)
         recheck()
         for i in walked[~done[walked]].tolist():
             if refused:
@@ -479,45 +471,55 @@ def _path_costs(problem: MultistageRobustLP, paths: ScenarioPaths, solve,
 def _path_rhs(problem: MultistageRobustLP, X: np.ndarray, state: np.ndarray | None,
               s: int = 2) -> np.ndarray:
     """Right-hand sides of the blocks _separable_blocks stacks for the paths
-    X (K, D) and state, in its row order, without assembling an LP: (K, rows
-    per block).  T must be constant; T_s state moves to stage s's side as there."""
-    parts = [] if state is not None else [np.broadcast_to(problem.h1, (len(X), problem.dims.m[0]))]
-    for t in range(2 if state is None else s, problem.H + 1):
-        blk = problem.stage_block(t)
-        h = blk.h.eval_many(X)
+    X (K, D) and state, in its row order, without assembling an LP: one
+    column per path, (rows per block, K), so that tests over a path's rows
+    reduce along the long axis.  T must be constant; T_s state moves to
+    stage s's side as there (one product T_s state' for a state per path)."""
+    first = 1 if state is None else s
+    off = np.cumsum([0, *problem.dims.m[first - 1:]])
+    B = np.empty((off[-1], len(X)))
+    if state is None:
+        B[: off[1]] = problem.h1[:, None]
+    for t in range(max(first, 2), problem.H + 1):
+        blk, rows = problem.stage_block(t), B[off[t - first] : off[t - first + 1]]
+        rows[:] = blk.h.base[:, None]
+        for k, arr in blk.h.terms:  # in h's order, each on its nonzero rows
+            nz = np.flatnonzero(arr)
+            rows[nz] += np.multiply.outer(arr[nz], X[:, k])
         if t == s and state is not None:
-            h = h - (blk.T.base @ state if state.ndim == 1 else state @ blk.T.base.T)
-        parts.append(h)
-    return np.hstack(parts)
+            rows -= (blk.T.base @ state)[:, None] if state.ndim == 1 else blk.T.base @ state.T
+    return B
 
 
 def _certify(problem, paths, state, s, pool: "_BasisPool", first: int, first_ray: int,
              todo: np.ndarray, out: np.ndarray, sol: np.ndarray | None, done: np.ndarray) -> None:
     """Price the unresolved paths todo on the pool's bases from `first` on,
     and test the rest against its rays from `first_ray` on, CERTIFY_BLOCK
-    paths at a time; mark the priced and separated ones done.  A priced
-    path gets its cost in out (and, unless sol is None, its basic solution
-    in sol), a path that a ray y separates (y'b above the tolerance) cost
-    +inf."""
-    rays = np.array(pool.rays[first_ray:]).reshape(-1, pool.m)
+    paths (columns of _path_rhs) at a time; mark the priced and separated
+    ones done.  A priced path gets its cost in out (and, unless sol is None,
+    its basic solution in sol), a path that a ray y separates (y'b above the
+    tolerance) cost +inf."""
     for lo in range(0, todo.size, CERTIFY_BLOCK):
         idx = todo[lo : lo + CERTIFY_BLOCK]
         B = _path_rhs(problem, paths.values[idx], _state_rows(state, idx), s)
         tol = _rhs_tol(B)
         which, cost = pool.price(B, tol, first)
-        priced = which >= 0
-        out[idx[priced]] = cost[priced]
-        if sol is not None:
-            sol[idx[priced]] = pool.solutions(B[priced], which[priced])
-        infeasible = ~priced & np.any(B @ rays.T > tol[:, None], axis=1)
-        out[idx[infeasible]] = np.inf
-        done[idx[priced | infeasible]] = True
+        priced, rest = which >= 0, np.flatnonzero(which < 0)
+        gap = np.max(pool.rays[first_ray:] @ B[:, rest], axis=0, initial=-np.inf)
+        infeasible = idx[rest[gap > tol[rest]]]
+        out[idx[priced]], out[infeasible] = cost[priced], np.inf
+        if sol is not None:  # basic solutions z_B = B^-1 b, on rows still zero
+            for k in np.unique(which[priced]).tolist():
+                j = np.flatnonzero(which == k)
+                cols, rows = pool.primal[k]
+                sol[np.ix_(idx[j], cols)] = (rows @ B[:, j]).T
+        done[idx[priced]] = done[infeasible] = True
 
 
 def _rhs_tol(B: np.ndarray) -> np.ndarray:
-    """The basis pool's absolute tolerance for each right-hand side of B
-    (K, m): POOL_TOL relative to its largest entry, at least POOL_TOL."""
-    return POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))
+    """The basis pool's absolute tolerance for each right-hand side (column)
+    of B (m, K): POOL_TOL relative to its largest entry, at least POOL_TOL."""
+    return POOL_TOL * np.maximum(1.0, np.maximum(np.max(B, axis=0), -np.min(B, axis=0)))
 
 
 class _BasisPool:
@@ -542,9 +544,9 @@ class _BasisPool:
     POOL_TOL.
 
     A walk that ends on a row with no entering column leaves a Farkas ray
-    in the pool (rays): y with y'A <= 0 on the bounded columns and y'A = 0
-    on the free ones (within POOL_TOL), so that y'b > 0 holds for no
-    feasible b, and y'b above b's tolerance proves b infeasible."""
+    in the pool (a row of rays, kept once): y with y'A <= 0 on the bounded
+    columns and y'A = 0 on the free ones (within POOL_TOL), so that y'b > 0
+    holds for no feasible b, and y'b above b's tolerance proves b infeasible."""
 
     def __init__(self, lp: LPInstance):
         self.A = np.hstack([lp._csr().toarray(), np.diag(np.where(lp.senses == GE, -1.0, 1.0))])
@@ -561,7 +563,7 @@ class _BasisPool:
         self.duals: list[np.ndarray] = []     # y = c_B B^-1
         self.primal: list[tuple[np.ndarray, np.ndarray]] = []  # LP basic columns, their B^-1 rows
         self.hits: list[int] = []            # paths each basis has priced
-        self.rays: list[np.ndarray] = []      # Farkas rays y over the rows, found by walks
+        self.rays = np.empty((0, self.m))  # (r, m): one Farkas ray y per row, found by walks
         self.rejected = 0
 
     def local(self, basis: np.ndarray) -> np.ndarray:
@@ -571,30 +573,23 @@ class _BasisPool:
 
     def price(self, B: np.ndarray, tol: np.ndarray,
               first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """For right-hand sides B (K, m) with tolerances tol (_rhs_tol(B)):
+        """For right-hand sides B (m, K) with tolerances tol (_rhs_tol(B)):
         a basis from `first` on that is primal feasible (-1 where none is),
-        and its y'b.  The bases are tried in order of the paths they have
-        priced, most first (by index on ties), so that the pool's common
-        regions, which depend on the calls it has served, come first."""
-        which = np.full(len(B), -1)
-        cost = np.full(len(B), np.nan)
+        and its y'b.  The bases are tried, each on the columns still
+        unpriced, in order of the paths they have priced, most first (by
+        index on ties): the pool's common regions, which depend on the calls
+        it has served, come first."""
+        which = np.full(B.shape[1], -1)
+        cost = np.full(B.shape[1], np.nan)
+        left = np.arange(B.shape[1])
         for k in sorted(range(first, len(self.duals)), key=lambda k: -self.hits[k]):
-            idx = np.flatnonzero(which < 0)
-            idx = idx[np.all(B[idx] @ self.inverses[k].T >= -tol[idx, None], axis=1)]
-            which[idx] = k
-            cost[idx] = B[idx] @ self.duals[k]
-            self.hits[k] += idx.size
+            Bk, tk = (B, tol) if left.size == B.shape[1] else (B[:, left], tol[left])
+            ok = np.min(self.inverses[k] @ Bk, axis=0, initial=np.inf) >= -tk
+            which[left[ok]], cost[left[ok]] = k, (self.duals[k] @ Bk)[ok]
+            self.hits[k] += np.count_nonzero(ok)
+            if not (left := left[~ok]).size:
+                break
         return which, cost
-
-    def solutions(self, B: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """The basic solutions of right-hand sides B (K, m) on the bases
-        `which`, over the LP's columns (slacks dropped): (K, ncols)."""
-        Z = np.zeros((len(B), self.n))
-        for k in np.unique(which).tolist():
-            idx = np.flatnonzero(which == k)
-            cols, rows = self.primal[k]
-            Z[np.ix_(idx, cols)] = B[idx] @ rows.T
-        return Z
 
     def offer(self, basis: np.ndarray, b: np.ndarray, cost: float | None = None) -> bool:
         """Add the basis (columns of A, ascending) if it passes the checks
@@ -624,42 +619,44 @@ class _BasisPool:
         return True
 
     def grow(self, B: np.ndarray) -> int:
-        """Walk each right-hand side of B (K, m) from the seed by dual
+        """Walk each right-hand side of B (m, K) from the seed by dual
         simplex pivots until its basis is primal feasible, and offer each
         new basis a walk ends on.  The leaving variable is the violated
         basic one of smallest index (Bland), the entering column the dual
         ratio test's (smallest index on ties); walks on the same basis and
         row share one pivot.  A walk also ends on a row r with no entering
         column, whose ray sign * B^-1[r] (sign that of the violation) joins
-        rays, or after WALK_PIVOTS pivots.  Intermediate bases are not
-        kept.  Returns the pivots taken."""
+        rays unless an equal one is there, or after WALK_PIVOTS pivots.
+        Intermediate bases are not kept.  Returns the pivots taken."""
         tol = _rhs_tol(B)
         bases, binvs = [self.bases[0]], [self.seed]
         index = {bases[0].tobytes(): 0}
         moves = {}  # (basis, leaving position, direction) -> next basis, -1 for a Farkas row
-        at = np.zeros(len(B), np.int64)
-        steps = np.zeros(len(B), np.int64)
-        live = np.ones(len(B), bool)
+        at = np.zeros(B.shape[1], np.int64)
+        steps = np.zeros(B.shape[1], np.int64)
+        live = np.ones(B.shape[1], bool)
         ends = {}  # basis a walk ended on -> one of its right-hand sides
         while live.any():
             for k in np.unique(at[live]).tolist():
                 w = np.flatnonzero(live & (at == k))
                 basis = bases[k]
-                Z = B[w] @ binvs[k].T
-                bad = ((self.bounded[basis] & (Z < -tol[w, None]))
-                       | (self.fixed[basis] & (np.abs(Z) > tol[w, None])))
-                has = bad.any(axis=1)
+                Z = binvs[k] @ B[:, w]
+                bad = ((self.bounded[basis, None] & (Z < -tol[w]))
+                       | (self.fixed[basis, None] & (np.abs(Z) > tol[w])))
+                has = bad.any(axis=0)
                 if not has.all():
                     ends.setdefault(k, w[~has][0])
                     live[w[~has]] = False
-                w, r = w[has], np.argmax(bad[has], axis=1)  # bases are ascending: Bland's row
-                sign = np.sign(Z[has, r]).astype(np.int64)
+                w, r = w[has], np.argmax(bad[:, has], axis=0)  # bases are ascending: Bland's row
+                sign = np.sign(Z[r, np.flatnonzero(has)]).astype(np.int64)
                 for row, sgn in set(zip(r.tolist(), sign.tolist())):
                     key = (k, row, sgn)
                     if key not in moves:
                         step = self._pivot(basis, binvs[k], row, sgn)
                         if step is None:
-                            self.rays.append(sgn * binvs[k][row])
+                            ray = sgn * binvs[k][row]
+                            if not np.any(np.all(self.rays == ray, axis=1)):
+                                self.rays = np.vstack([self.rays, ray])
                         elif step[0].tobytes() not in index:
                             index[step[0].tobytes()] = len(bases)
                             bases.append(step[0])
@@ -674,7 +671,7 @@ class _BasisPool:
         pooled = {b.tobytes() for b in self.bases}
         for k, i in ends.items():
             if bases[k].tobytes() not in pooled:
-                self.offer(bases[k], B[i])
+                self.offer(bases[k], B[:, i])
         return sum(nxt >= 0 for nxt in moves.values())
 
     def _pivot(self, basis: np.ndarray, Binv: np.ndarray, r: int,
@@ -943,23 +940,22 @@ def _core_master(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: li
 
 def _tail_duals(pool: "_BasisPool | None", B: np.ndarray,
                 infeasible: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The duals of the right-hand sides B (K, m) of the pool's LP, with
-    their index in the pool: for feasible ones, those of the pooled basis
-    that prices each; for infeasible ones, the pooled ray y that separates
-    each the most (largest y'b, the first on a tie).  None when there is
-    no pool or a row has none (its basis was rejected or never reported,
-    or no ray separates it)."""
+    """The duals of the right-hand sides B (m, K) of the pool's LP, one row
+    per column, with their index in the pool: for feasible ones, those of
+    the pooled basis that prices each; for infeasible ones, the pooled ray
+    y that separates each the most (largest y'b, the first on a tie).  None
+    when there is no pool or a column has none (its basis was rejected or
+    never reported, or no ray separates it)."""
     if pool is None:
         return None
     if not infeasible:
         which, _ = pool.price(B, _rhs_tol(B))
         return None if np.any(which < 0) else (which, np.asarray(pool.duals)[which])
-    rays = np.array(pool.rays).reshape(-1, pool.m)
-    gap = B @ rays.T
-    if not rays.size or np.any(np.max(gap, axis=1) <= _rhs_tol(B)):
+    gap = pool.rays @ B
+    if np.any(np.max(gap, axis=0, initial=-np.inf) <= _rhs_tol(B)):
         return None
-    which = np.argmax(gap, axis=1)
-    return which, rays[which]
+    which = np.argmax(gap, axis=0)
+    return which, pool.rays[which]
 
 
 def _tightest(keys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -1080,7 +1076,8 @@ def _solve_core(problem: MultistageRobustLP, tree: ScenarioPrefixTree, core: lis
                 idx, which, Y = idx[new], which[new], Y[new]
                 if not idx.size:
                     continue
-                rhs = -np.sum(Y * _path_rhs(problem, X[idx], np.zeros((idx.size, ns)), s), axis=1)
+                # laid out as Y, so each cut's y'h sums one contiguous row
+                rhs = -np.sum(Y * _path_rhs(problem, X[idx], np.zeros((idx.size, ns)), s).T, axis=1)
                 # one deepest core node (so the same columns) and one pooled
                 # basis or ray (so the same duals): the same coefficients
                 node = anc[d - 1][g[idx]] if d else np.zeros(idx.size, np.int64)

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from swcopt.builders import CHUNK_ROWS, _check_problem
+from swcopt.builders import CHUNK_ROWS, POOL_TOL, _check_problem
 from swcopt.builders import _separable_blocks as _stacked_blocks
 from swcopt.lp import LPBuilder, LPInstance, SolverError, Status, get_solver
 from dataclasses import dataclass
@@ -873,3 +873,33 @@ def _single_cost(problem, path: ScenarioPaths, solve, x1, const) -> float:
     if res.status is Status.UNBOUNDED:
         return -np.inf
     raise SolverError(f"scenario solve ended with {res.status.value}")
+
+
+# ---------------------------------------------------------------------------
+# per-path right-hand sides, one row per path
+#
+# builders._path_rhs as it was before the pricing layer held its right-hand
+# sides as rows x paths: each stage's h evaluated at every path at once,
+# T_s state subtracted, and the stages joined side by side.  Kept as the
+# oracle of the layout's differential test in test_pool.py.
+
+
+def path_rhs(problem: MultistageRobustLP, X: np.ndarray, state: np.ndarray | None,
+             s: int = 2) -> np.ndarray:
+    """Right-hand sides of the blocks _separable_blocks stacks for the paths
+    X (K, D) and state, in its row order, without assembling an LP: (K, rows
+    per block).  T must be constant; T_s state moves to stage s's side as there."""
+    parts = [] if state is not None else [np.broadcast_to(problem.h1, (len(X), problem.dims.m[0]))]
+    for t in range(2 if state is None else s, problem.H + 1):
+        blk = problem.stage_block(t)
+        h = blk.h.eval_many(X)
+        if t == s and state is not None:
+            h = h - (blk.T.base @ state if state.ndim == 1 else state @ blk.T.base.T)
+        parts.append(h)
+    return np.hstack(parts)
+
+
+def rhs_tol(B: np.ndarray) -> np.ndarray:
+    """The basis pool's tolerance of each right-hand side, each row of B
+    (K, m): POOL_TOL relative to its largest entry, at least POOL_TOL."""
+    return POOL_TOL * np.maximum(1.0, np.max(np.abs(B), axis=1))

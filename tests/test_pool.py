@@ -143,6 +143,39 @@ def test_random_constant_recourse_models_match_oracle(seed, H, N, free, degenera
     assert stats["solves"] == stats["seeds"] + stats["fallback"]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    H=st.integers(2, 4),
+    free=st.booleans(),
+    degenerate=st.booleans(),
+    discrete=st.booleans(),
+)
+def test_rows_by_paths_match_the_oracle_layout(seed, H, free, degenerate, discrete):
+    # the pricing layer's right-hand sides, one column per path, are the
+    # oracle's rows bit for bit, for x1 free, a fixed x1 and one state per
+    # path entering at every stage s, and so are their tolerances; pricing
+    # on them gives the oracle's violation indicators
+    rng = np.random.default_rng(seed)
+    problem, x_bar = constant_recourse_problem(rng, H, free, degenerate, discrete)
+    paths = draw_paths(problem.uncertainty, 60, [seed, 1])
+    X, n = paths.values, problem.dims.n
+    cases = [(None, 2), (x_bar, 2)]
+    cases += [(rng.integers(-3, 4, (len(X), n[s - 2])).astype(float), s) for s in range(2, H + 1)]
+    for state, s in cases:
+        B = builders._path_rhs(problem, X, state, s)
+        want = oracles.path_rhs(problem, X, state, s)
+        assert B.flags.c_contiguous
+        np.testing.assert_array_equal(B, want.T)
+        np.testing.assert_array_equal(builders._rhs_tol(B), oracles.rhs_tol(want))
+    for x1 in (None, x_bar, x_bar + rng.integers(-2, 3, x_bar.size)):
+        costs = scenario_costs(problem, paths, x1=x1)
+        oracle = oracles.scenario_costs(problem, paths, x1=x1)
+        finite = oracle[np.isfinite(oracle)]
+        for gamma in np.quantile(finite, [0.1, 0.5, 0.9]) if finite.size else [0.0]:
+            assert_matches_oracle(costs, oracle, float(gamma))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -335,12 +368,12 @@ def assert_rays_are_farkas(problem, paths, x1, costs):
     Returns the number of rays."""
     pool = problem.pools[get_solver("highs")][None if x1 is None else 2]["optimal"]
     B = builders._path_rhs(problem, paths.values, None if x1 is None else np.asarray(x1, float))
-    tol = builders._rhs_tol(B)
+    tol = builders._rhs_tol(B)  # B holds one column per path
     signed, free = pool.bounded & ~pool.fixed, ~pool.bounded & ~pool.fixed
     for y in pool.rays:
         a = y @ pool.A
         assert np.all(a[signed] <= POOL_TOL) and np.all(np.abs(a[free]) <= POOL_TOL)
-        separated = B @ y > tol
+        separated = y @ B > tol
         assert separated[costs == np.inf].any() and np.all(costs[separated] == np.inf)
     return len(pool.rays)
 

@@ -2,7 +2,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from swcopt.lp import get_solver
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
 _spec = importlib.util.spec_from_file_location("sweep", TOOL)
@@ -24,3 +27,18 @@ def test_three_models_print_one_line(capsys):
 def test_a_bad_seed_count_is_refused(argv):
     with pytest.raises(SystemExit, match="usage"):
         sweep.main(argv)
+
+
+@pytest.mark.parametrize("seeds", [range(3), [282]], ids=["first-three", "model-282"])
+def test_no_pool_holds_a_ray_twice(seeds):
+    # the sweep's 3-model run, and model 282, whose walks end twice on e_6:
+    # every pool keeps each ray once
+    rays = 0
+    for seed in seeds:
+        problem, paths, fixed = sweep.model(seed)
+        for x1 in fixed:
+            sweep.scenario_costs(problem, paths, x1=x1)
+        for pool in (p["optimal"] for p in problem.pools[get_solver("highs")].values()):
+            assert len(np.unique(pool.rays, axis=0)) == len(pool.rays)
+            rays += len(pool.rays)
+    assert rays > 0

@@ -14,10 +14,12 @@ and the method, rounds, leaves, last master shape, cuts and dropped cuts
 validation runs twice: cold, on a copy of the model that carries no basis
 pools, then warm, on the solved model, whose pools the solve filled, as
 in the harness.  For each the line holds its seconds (drawing its paths
-included; validation_cold_s and validation_s), and the solves, dual
+included; validation_cold_s and validation_s), and, under "cold" and at
+the top level, its microseconds per validation path
+(validation_us_per_path, the seconds over L·N) and the solves, dual
 simplex pivots, fallback solves and warm bases (the bases its pools held
-at entry) of its scenario_costs record, under "cold" and at the top level,
-with the violation, which both runs share.
+at entry) of its scenario_costs record, with the violation, which both
+runs share.
 
 Run from anywhere, with the swcopt under src/ beside this directory:
     python tools/reach.py integer:18838 integer:37676 continuous:18838:100
@@ -73,9 +75,10 @@ def run_case(variant: str, n: int, batches: int | None) -> dict:
             t0 = time.perf_counter()
             violation = empirical_violation(model, x1, gamma, L=batches, N=n,
                                             seed=VALIDATION_STREAM)
-            seconds = round(time.perf_counter() - t0, 3)
+            seconds = time.perf_counter() - t0
             pricing = [r.scenario_costs for r in records if hasattr(r, "scenario_costs")][-1]
-            runs.append({"validation_s": seconds, "violation": violation,
+            runs.append({"validation_s": round(seconds, 3), "violation": violation,
+                         "validation_us_per_path": round(seconds * 1e6 / (batches * n), 3),
                          **{k: pricing[k] for k in ("solves", "pivots", "fallback", "warm")}})
         cold, warm = runs
         if cold.pop("violation") != warm["violation"]:

@@ -36,6 +36,17 @@ from test_pool import constant_recourse_problem  # noqa: E402
 SUMMED = ("solves", "seeds", "fallback", "pivots", "rejected")
 
 
+def model(seed: int):
+    """Seed's model, its 200 paths and the first stages the sweep prices
+    them at, in order: x1 = None, x_bar and the perturbed x_bar."""
+    rng = np.random.default_rng(seed)
+    H = int(rng.integers(2, 5))
+    problem, x_bar = constant_recourse_problem(rng, H, bool(seed & 1), bool(seed & 2),
+                                               bool(seed & 4))
+    perturbed = x_bar + rng.integers(-2, 3, x_bar.size)
+    return problem, draw_paths(problem.uncertainty, 200, [seed, 1]), (None, x_bar, perturbed)
+
+
 def sweep(seeds: int) -> dict:
     records = []
     handler = logging.Handler(logging.DEBUG)
@@ -48,14 +59,9 @@ def sweep(seeds: int) -> dict:
     totals = Counter()
     try:
         for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            H = int(rng.integers(2, 5))
-            problem, x_bar = constant_recourse_problem(rng, H, bool(seed & 1), bool(seed & 2),
-                                                       bool(seed & 4))
-            perturbed = x_bar + rng.integers(-2, 3, x_bar.size)
-            paths = draw_paths(problem.uncertainty, 200, [seed, 1])
+            problem, paths, fixed = model(seed)
             last = {}  # the last record of each LP: the whole one, and the recourse one
-            for x1 in (None, x_bar, perturbed):
+            for x1 in fixed:
                 scenario_costs(problem, paths, x1=x1)
                 totals.update({k: records[-1][k] for k in SUMMED})
                 totals["calls"] += 1
